@@ -362,12 +362,12 @@ func SurveyTable1() []SurveyEntry { return survey.Table1() }
 // RenderSurvey writes Table 1 in the paper's layout.
 func RenderSurvey(w io.Writer) error { return survey.Render(w, survey.Table1()) }
 
-// Traces. A capture is an FSBT file (the streaming v2 format carries
-// per-record owner and stream identity; legacy v1 stays readable) and
-// replays through the event kernel: per-stream procs contend on the
-// device queue under one of three timing disciplines, and K traces
-// merge into one multi-tenant contention scenario. Set
-// Experiment.Trace to make a trace the experiment's workload source.
+// Traces. A capture is an FSBT v2 file (a streaming format carrying
+// per-record owner and stream identity) and replays through the event
+// kernel: per-stream procs contend on the device queue under one of
+// three timing disciplines, and K traces merge into one multi-tenant
+// contention scenario. Set Experiment.Trace to make a trace the
+// experiment's workload source.
 type (
 	// Trace is an in-memory operation trace.
 	Trace = trace.Trace
@@ -404,17 +404,12 @@ func ParseReplayMode(s string) (ReplayMode, error) { return trace.ParseReplayMod
 // Hook() as the workload probe's Trace function.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
-// TraceFileSource streams the FSBT trace file at path (either format
-// version) without materializing its records.
+// TraceFileSource streams the FSBT v2 trace file at path without
+// materializing its records.
 func TraceFileSource(path string) TraceSource { return trace.FileSource(path) }
 
 // TraceMemorySource iterates an in-memory trace.
 func TraceMemorySource(t *Trace) TraceSource { return trace.MemorySource(t) }
-
-// ConvertTrace upgrades an FSBT v1 trace on r to v2 on w. The
-// content digest is order-insensitive, so warehouse fingerprints
-// survive the conversion.
-func ConvertTrace(r io.Reader, w io.Writer) error { return trace.Convert(r, w) }
 
 // ReplayTrace builds a fresh stack from the configuration and replays
 // the whole trace against it from time zero on the event kernel.

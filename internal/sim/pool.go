@@ -62,16 +62,20 @@ func spawnProc(p *Proc, body func(*Proc)) {
 }
 
 // loop is the worker's life: run Proc bodies until the pool is full.
-// The free-list push happens after the park signal, so by the time
-// another Go can pop this worker it is guaranteed to reach the next
-// jobs receive.
+// The free-list push happens before the park signal, so a worker is
+// back in the pool by the time its loop sees the body finish: when
+// EventLoop.Run returns, every pooled worker of that run is counted.
+// A Go on another shard that pops the worker in between only waits
+// for the park send, whose receiver (this proc's loop) is already
+// blocked on it.
 func (w *procWorker) loop() {
 	for job := range w.jobs {
 		p := job.p
 		p.now = <-p.wake
 		job.body(p)
+		pooled := putProcWorker(w)
 		p.park <- struct{}{}
-		if !putProcWorker(w) {
+		if !pooled {
 			return
 		}
 	}

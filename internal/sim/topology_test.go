@@ -6,16 +6,20 @@ import (
 	"testing"
 )
 
-// starTrace runs a hub-and-spoke workload under a declared star
-// topology: three spoke shards fire same-timestamp requests into one
-// hub shard, which answers each on its declared back-edge. Returns
-// per-shard (label, time) traces.
-func starTrace(lookahead Time, declare bool) [4][]string {
+// Two graphs over four shards that both carry starTrace's traffic:
+// the star it actually uses, and the complete graph.
+var (
+	starEdges     = [][]int{{3}, {3}, {3}, {0, 1, 2}}
+	completeEdges = [][]int{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}
+)
+
+// starTrace runs a hub-and-spoke workload under the given topology:
+// three spoke shards fire same-timestamp requests into hub shard 3,
+// which answers each on its back-edge. Returns per-shard
+// (label, time) traces.
+func starTrace(lookahead Time, edges [][]int) [4][]string {
 	const hub = 3
-	sl := NewShardedLoop(0, 4, lookahead)
-	if declare {
-		sl.SetTopology([][]int{{hub}, {hub}, {hub}, {0, 1, 2}})
-	}
+	sl := NewShardedLoop(0, lookahead, edges)
 	var trace [4][]string
 	note := func(shard int, what string, at Time) {
 		trace[shard] = append(trace[shard], fmt.Sprintf("%s @%d", what, at))
@@ -46,9 +50,9 @@ func starTrace(lookahead Time, declare bool) [4][]string {
 }
 
 func TestShardedLoopTopologyDeterministicTrace(t *testing.T) {
-	first := starTrace(7, true)
+	first := starTrace(7, starEdges)
 	for i := 0; i < 5; i++ {
-		if got := starTrace(7, true); !reflect.DeepEqual(got, first) {
+		if got := starTrace(7, starEdges); !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d diverged:\n%v\nvs\n%v", i, got, first)
 		}
 	}
@@ -59,17 +63,30 @@ func TestShardedLoopTopologyDeterministicTrace(t *testing.T) {
 	}
 }
 
-func TestShardedLoopTopologyMatchesUniform(t *testing.T) {
-	// Declaring the real communication graph must change scheduling
-	// only, never simulated times or per-shard event order.
-	if got, want := starTrace(7, true), starTrace(7, false); !reflect.DeepEqual(got, want) {
-		t.Fatalf("topology trace diverged from uniform-window trace:\n%v\nvs\n%v", got, want)
+func TestShardedLoopStarMatchesCompleteGraph(t *testing.T) {
+	// Declaring extra, unused edges holds shards back for longer but
+	// must change scheduling only, never simulated times or per-shard
+	// event order.
+	if got, want := starTrace(7, starEdges), starTrace(7, completeEdges); !reflect.DeepEqual(got, want) {
+		t.Fatalf("star trace diverged from complete-graph trace:\n%v\nvs\n%v", got, want)
 	}
 }
 
+func TestShardedLoopSendWithoutEdgesPanics(t *testing.T) {
+	// A loop built with no edges is the replica configuration: every
+	// shard runs to the end in one round, which is only sound because
+	// no shard can Send.
+	sl := NewShardedLoop(0, 5, make([][]int, 2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Send on a loop without edges did not panic")
+		}
+	}()
+	sl.Send(0, 1, 10, func() {})
+}
+
 func TestShardedLoopTopologyPanicsOnUndeclaredEdge(t *testing.T) {
-	sl := NewShardedLoop(0, 3, 5)
-	sl.SetTopology([][]int{{1}, {0}, nil})
+	sl := NewShardedLoop(0, 5, [][]int{{1}, {0}, nil})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send on an undeclared edge did not panic")
@@ -80,31 +97,21 @@ func TestShardedLoopTopologyPanicsOnUndeclaredEdge(t *testing.T) {
 }
 
 func TestShardedLoopTopologyValidation(t *testing.T) {
-	sl := NewShardedLoop(0, 2, 5)
 	for _, edges := range [][][]int{
-		{{1}},           // wrong length
-		{{2}, nil},      // destination out of range
-		{{0}, nil},      // self edge
-		{{1, 1}, nil},   // duplicate edge
-		{nil, {0}, {0}}, // wrong length (too long)
+		{},            // no shards
+		{{2}, nil},    // destination out of range
+		{{-1}, nil},   // negative destination
+		{{0}, nil},    // self edge
+		{{1, 1}, nil}, // duplicate edge
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SetTopology(%v) did not panic", edges)
+					t.Errorf("NewShardedLoop(%v) did not panic", edges)
 				}
 			}()
-			sl.SetTopology(edges)
+			NewShardedLoop(0, 5, edges)
 		}()
-	}
-	// nil restores the uniform-window default.
-	sl.SetTopology([][]int{{1}, {0}})
-	sl.SetTopology(nil)
-	ran := false
-	sl.Shard(0).Schedule(0, func() { sl.Send(0, 1, 5, func() { ran = true }) })
-	sl.Run()
-	if !ran {
-		t.Fatal("mail not delivered after topology reset")
 	}
 }
 
@@ -117,8 +124,7 @@ func TestShardedLoopTopologyValidation(t *testing.T) {
 // or silently reorder.
 func TestShardedLoopTopologyChainForwarding(t *testing.T) {
 	const la = 10
-	sl := NewShardedLoop(0, 3, la)
-	sl.SetTopology([][]int{{1}, {2}, nil})
+	sl := NewShardedLoop(0, la, [][]int{{1}, {2}, nil})
 	var got []Time
 	// Shard 2 has a dense local train the forwarded mail must interleave
 	// with deterministically.
@@ -146,8 +152,7 @@ func TestShardedLoopTopologySameTimestampFanIn(t *testing.T) {
 	// All three spokes send mail stamped with the identical timestamp;
 	// the hub must apply them in (at, src, idx) order every run.
 	run := func() []string {
-		sl := NewShardedLoop(0, 4, 5)
-		sl.SetTopology([][]int{{3}, {3}, {3}, {0, 1, 2}})
+		sl := NewShardedLoop(0, 5, starEdges)
 		var order []string
 		for spoke := 0; spoke < 3; spoke++ {
 			spoke := spoke

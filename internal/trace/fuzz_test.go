@@ -14,8 +14,8 @@ import (
 // negative time deltas, and truncated path tables must all surface as
 // errors, not as silently wrong traces.
 func FuzzTraceReadBinary(f *testing.F) {
-	// Seed corpus: well-formed v2 and v1 streams plus targeted
-	// corruptions of each.
+	// Seed corpus: a well-formed stream, targeted corruptions of it,
+	// and a stream in the retired v1 format, which must be rejected.
 	v2 := func() []byte {
 		var buf bytes.Buffer
 		t := &Trace{Records: []Record{
@@ -26,17 +26,15 @@ func FuzzTraceReadBinary(f *testing.F) {
 		t.WriteBinary(&buf)
 		return buf.Bytes()
 	}()
-	v1 := encodeV1([]Record{
-		{At: 2000, Kind: workload.OpCreate, Path: "/a"},
-		{At: 1000, Kind: workload.OpWriteSeq, Path: "/a", Size: 4096},
-	})
 	f.Add(v2)
-	f.Add(v1)
+	f.Add([]byte("FSBT\x01\x01\x02/a\x01\x00\x00\x00\x00\x00"))
 	f.Add(v2[:len(v2)/2])
-	f.Add(v1[:len(v1)/2])
+	f.Add(v2[:len(v2)-2]) // end frame missing
 	f.Add([]byte("FSBT"))
 	f.Add(append(append([]byte{}, magicV2[:]...), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
-	f.Add(append(append([]byte{}, magicV1[:]...), 0xff, 0xff, 0xff, 0xff, 0x0f))
+	// A time delta of 2^63 that would wrap the absolute time negative.
+	f.Add(append(append([]byte{}, magicV2[:]...), framePath, 1, '/', frameRecord,
+		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinary(bytes.NewReader(data))

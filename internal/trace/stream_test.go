@@ -3,14 +3,12 @@ package trace
 import (
 	"bytes"
 	"io"
-	"os"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// identityTrace exercises the v2-only fields: distinct owners and
+// identityTrace exercises the identity fields: distinct owners and
 // streams per record.
 func identityTrace() *Trace {
 	return &Trace{Records: []Record{
@@ -31,56 +29,12 @@ func encodeV2(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
-// encodeV1 emits the legacy materialized format (magic, path table,
-// record count, per-record delta/kind/pathIdx/offset/size) exactly as
-// the old writer did — the reader must keep accepting it.
-func encodeV1(recs []Record) []byte {
-	var buf bytes.Buffer
-	buf.Write(magicV1[:])
-	var vb [16]byte
-	uv := func(v uint64) {
-		n := putUvarintTest(vb[:], v)
-		buf.Write(vb[:n])
-	}
-	sv := func(v int64) {
-		n := putVarintTest(vb[:], v)
-		buf.Write(vb[:n])
-	}
-	idx := map[string]uint64{}
-	var paths []string
-	for _, r := range recs {
-		if _, ok := idx[r.Path]; !ok {
-			idx[r.Path] = uint64(len(paths))
-			paths = append(paths, r.Path)
-		}
-	}
-	uv(uint64(len(paths)))
-	for _, p := range paths {
-		uv(uint64(len(p)))
-		buf.WriteString(p)
-	}
-	uv(uint64(len(recs)))
-	var prev sim.Time
-	for _, r := range recs {
-		sv(int64(r.At - prev))
-		prev = r.At
-		uv(uint64(r.Kind))
-		uv(idx[r.Path])
-		sv(r.Offset)
-		sv(r.Size)
-	}
-	return buf.Bytes()
-}
-
 func TestV2RoundTripPreservesIdentity(t *testing.T) {
 	orig := identityTrace()
 	data := encodeV2(t, orig)
 	r, err := OpenReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Version() != 2 {
-		t.Fatalf("version = %d, want 2", r.Version())
 	}
 	var got []Record
 	for {
@@ -103,152 +57,33 @@ func TestV2RoundTripPreservesIdentity(t *testing.T) {
 	}
 }
 
-func TestV1StillReadable(t *testing.T) {
-	// Completion-ordered capture: the second record's delta is
-	// negative, which v1 must accept (v2 forbids it by construction).
-	recs := []Record{
-		{At: 2000, Kind: workload.OpCreate, Path: "/a"},
-		{At: 1000, Kind: workload.OpWriteSeq, Path: "/a", Size: 4096},
-		{At: 5000, Kind: workload.OpReadRand, Path: "/b", Offset: 512, Size: 1024},
-	}
-	got, err := ReadBinary(bytes.NewReader(encodeV1(recs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(recs) {
-		t.Fatalf("records = %d, want %d", len(got.Records), len(recs))
-	}
-	for i, rec := range got.Records {
-		if rec != recs[i] {
-			t.Errorf("record %d = %+v, want %+v", i, rec, recs[i])
-		}
-	}
-}
-
-// TestV1GoldenFile pins backward compatibility to a committed byte
-// stream: whatever happens to the codecs, this file must keep reading
-// to exactly these records.
-func TestV1GoldenFile(t *testing.T) {
-	f, err := os.Open("testdata/v1-sample.fsbt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r, err := OpenReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != 1 {
-		t.Fatalf("version = %d, want 1", r.Version())
-	}
-	want := []Record{
-		{At: 2000, Kind: workload.OpCreate, Path: "/dir/a"},
-		{At: 1000, Kind: workload.OpWriteSeq, Path: "/dir/a", Size: 4096},
-		{At: 5000, Kind: workload.OpReadRand, Path: "/dir/b", Offset: 512, Size: 1024},
-		{At: 9000, Kind: workload.OpStat, Path: "/dir/a"},
-	}
-	for i, w := range want {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if rec != w {
-			t.Errorf("record %d = %+v, want %+v", i, rec, w)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("after last record: %v, want io.EOF", err)
-	}
-}
-
-func TestConvertPreservesContentAndDigest(t *testing.T) {
-	recs := []Record{
-		{At: 2000, Kind: workload.OpCreate, Path: "/a"},
-		{At: 1000, Kind: workload.OpWriteSeq, Path: "/a", Size: 4096},
-		{At: 5000, Kind: workload.OpReadRand, Path: "/b", Offset: 512, Size: 1024},
-	}
-	v1 := encodeV1(recs)
-	var v2 bytes.Buffer
-	if err := Convert(bytes.NewReader(v1), &v2); err != nil {
-		t.Fatal(err)
-	}
-	v1Scan, err := ScanSource(readerSource{v1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Scan, err := ScanSource(readerSource{v2.Bytes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The digest is order-insensitive, so re-sorting by submission
-	// time during conversion must not change it.
-	if v1Scan.Digest != v2Scan.Digest {
-		t.Errorf("digest changed across conversion: %s -> %s", v1Scan.Digest, v2Scan.Digest)
-	}
-	if v1Scan.Records != v2Scan.Records {
-		t.Errorf("record count changed: %d -> %d", v1Scan.Records, v2Scan.Records)
-	}
-	got, err := ReadBinary(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v2 carries the same records, submission-ordered.
-	for i := 1; i < len(got.Records); i++ {
-		if got.Records[i].At < got.Records[i-1].At {
-			t.Fatalf("converted trace out of order at %d", i)
-		}
-	}
-	if len(got.Records) != len(recs) {
-		t.Fatalf("records = %d, want %d", len(got.Records), len(recs))
-	}
-}
-
-// readerSource adapts a byte slice to the Source interface.
-type readerSource struct{ data []byte }
-
-func (s readerSource) Open() (Iterator, error) {
-	r, err := OpenReader(bytes.NewReader(s.data))
-	if err != nil {
-		return nil, err
-	}
-	return readerIterator{r}, nil
-}
-
-type readerIterator struct{ r *Reader }
-
-func (it readerIterator) Next() (Record, error) { return it.r.Next() }
-func (it readerIterator) Close() error          { return nil }
-
 func TestTruncatedInputsFailLoudly(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"v2": encodeV2(t, identityTrace()),
-		"v1": encodeV1([]Record{
-			{At: 0, Kind: workload.OpCreate, Path: "/a"},
-			{At: 100, Kind: workload.OpStat, Path: "/a"},
-		}),
-	} {
-		for i := 0; i < len(data); i++ {
-			if _, err := ReadBinary(bytes.NewReader(data[:i])); err == nil {
-				t.Errorf("%s truncated to %d of %d bytes read cleanly", name, i, len(data))
-			}
+	data := encodeV2(t, identityTrace())
+	for i := 0; i < len(data); i++ {
+		if _, err := ReadBinary(bytes.NewReader(data[:i])); err == nil {
+			t.Errorf("truncated to %d of %d bytes read cleanly", i, len(data))
 		}
 	}
 }
 
 func TestCorruptInputsFailLoudly(t *testing.T) {
 	cases := map[string][]byte{
-		"bad magic":     []byte("FSBT\x03rest"),
+		"bad magic": []byte("FSBT\x03rest"),
+		// The retired v1 format is not read at all.
+		"v1 magic":      []byte("FSBT\x01\x01\x02/a\x01\x00\x00\x00\x00\x00"),
 		"unknown frame": append(append([]byte{}, magicV2[:]...), 0x7f),
 		// framePath claiming a ~2^60-byte path: must fail before any
 		// allocation depends on the claimed length.
 		"huge path": append(append([]byte{}, magicV2[:]...),
 			framePath, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10),
-		// v1 header claiming 2^30 paths backed by nothing.
-		"huge v1 path table": append(append([]byte{}, magicV1[:]...),
-			0x80, 0x80, 0x80, 0x84, 0x08),
 		// record referencing path index 5 with an empty dictionary.
 		"path out of range": append(append([]byte{}, magicV2[:]...),
 			frameRecord, 0, 0, 5),
+		// a time delta of 2^63 wrapping the absolute time negative.
+		"time overflow": append(append([]byte{}, magicV2[:]...),
+			framePath, 1, '/', frameRecord,
+			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+			0, 0, 0, 0, 0, 0),
 		// end frame count disagreeing with the records seen.
 		"count mismatch": append(append([]byte{}, magicV2[:]...), frameEnd, 9),
 	}
@@ -256,17 +91,6 @@ func TestCorruptInputsFailLoudly(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-	// v1 negative delta underflowing absolute time below zero.
-	neg := encodeV1([]Record{{At: 1000, Kind: workload.OpStat, Path: "/a"}})
-	// Patch the single delta (+1000 → -1000): varint 0xd0 0x0f → 0xcf 0x0f.
-	negIdx := bytes.LastIndex(neg, []byte{0xd0, 0x0f})
-	if negIdx < 0 {
-		t.Fatal("test setup: delta bytes not found")
-	}
-	neg[negIdx] = 0xcf
-	if _, err := ReadBinary(bytes.NewReader(neg)); err == nil {
-		t.Error("v1 time underflow accepted")
 	}
 }
 
@@ -318,25 +142,4 @@ func TestScanSourceExtents(t *testing.T) {
 	if sc.Records != 6 || sc.Span != 500 {
 		t.Errorf("records=%d span=%d, want 6, 500", sc.Records, sc.Span)
 	}
-}
-
-// putUvarintTest / putVarintTest avoid importing encoding/binary in
-// every helper (and keep the legacy encoder self-contained).
-func putUvarintTest(buf []byte, v uint64) int {
-	i := 0
-	for v >= 0x80 {
-		buf[i] = byte(v) | 0x80
-		v >>= 7
-		i++
-	}
-	buf[i] = byte(v)
-	return i + 1
-}
-
-func putVarintTest(buf []byte, v int64) int {
-	uv := uint64(v) << 1
-	if v < 0 {
-		uv = ^uv
-	}
-	return putUvarintTest(buf, uv)
 }

@@ -9,8 +9,7 @@
 // identity and scales to millions of records without materializing
 // them, a human-readable text format, and an event-kernel replay
 // engine with selectable timing disciplines (timed / afap / scaled)
-// and multi-tenant merge. The legacy FSBT v1 format stays readable;
-// Convert upgrades v1 files in place.
+// and multi-tenant merge.
 package trace
 
 import (
@@ -34,12 +33,12 @@ type Record struct {
 	Size   int64
 	// Owner is the requester identity the operation was captured
 	// under (the recording engine's thread OwnerID). Replay under
-	// multi-tenant merge re-bases it per tenant; v1 traces carry 0.
+	// multi-tenant merge re-bases it per tenant.
 	Owner int
 	// Stream is the logical submission stream the record belongs to
 	// (the recorded thread): replay serializes records of one stream
 	// and lets distinct streams contend, which is what preserves the
-	// captured concurrency structure. v1 traces carry 0 (one stream).
+	// captured concurrency structure.
 	Stream int
 }
 
@@ -125,10 +124,9 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 	return tw.Close()
 }
 
-// ReadBinary decodes a binary trace (either FSBT version) into
-// memory. The replay path does not use it — Engine streams through a
-// Reader — but in-memory traces remain convenient for tests and
-// conversion.
+// ReadBinary decodes an FSBT v2 trace into memory. The replay path
+// does not use it — Engine streams through a Reader — but in-memory
+// traces remain convenient for tests.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	tr, err := OpenReader(r)
 	if err != nil {

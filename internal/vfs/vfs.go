@@ -110,7 +110,7 @@ type Stats struct {
 //
 // The mount runs in one of two modes. In immediate mode (the default)
 // every device access resolves synchronously through Device.Submit —
-// setup, trace replay, and the nano raw-device tests use it. Between
+// setup and the nano raw-device tests use it. Between
 // BeginEvents and EndEvents the mount is in event mode: device
 // accesses go through a device.Queue drained by an I/O scheduler, the
 // issuing process blocks until its request's completion event fires,
@@ -723,9 +723,9 @@ func (m *Mount) pageLBA(id cache.PageID) (int64, bool) {
 
 // maybeWriteback runs the inline flusher when the dirty ratio is
 // exceeded: collect a batch, sort by LBA (the elevator), issue,
-// mark clean. It serves immediate mode only (setup, trace replay),
-// where the submission is synchronous underneath and clean-at-submit
-// is clean-at-completion; in event mode flushing belongs to the
+// mark clean. It serves immediate mode only (setup), where the
+// submission is synchronous underneath and clean-at-submit is
+// clean-at-completion; in event mode flushing belongs to the
 // write-back daemon (flusherMain), which cleans pages in completion
 // callbacks instead.
 func (m *Mount) maybeWriteback(at sim.Time) {

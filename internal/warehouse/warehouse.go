@@ -155,7 +155,7 @@ func Fingerprint(e *core.Experiment) string {
 		// A traced run measures (trace content, discipline, scale,
 		// tenant count): all four change what is measured, so all four
 		// enter the hash. The digest is order-insensitive trace
-		// content — a v1 capture and its v2 conversion fingerprint
+		// content — the same records in any order fingerprint
 		// identically. Workload-only experiments are unaffected: this
 		// line is absent for them, so every committed baseline
 		// fingerprint stands.
