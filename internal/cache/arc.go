@@ -1,7 +1,5 @@
 package cache
 
-import "container/list"
-
 // ARC implements the Adaptive Replacement Cache (Megiddo & Modha,
 // FAST '03): two resident lists, T1 (recency) and T2 (frequency),
 // plus two ghost lists, B1 and B2, whose hits steer the adaptive
@@ -10,15 +8,10 @@ type ARC struct {
 	capacity int
 	p        int // target size of T1
 
-	t1, t2 *list.List // resident (front = MRU)
-	b1, b2 *list.List // ghosts (front = MRU)
+	t1, t2 queue // resident (front = MRU)
+	b1, b2 queue // ghosts (front = MRU)
 
-	where map[PageID]*arcEntry
-}
-
-type arcEntry struct {
-	elem *list.Element
-	list int // lT1, lT2, lB1, lB2
+	nodes pageTable[qnode] // tag says which list: lT1, lT2, lB1, lB2
 }
 
 const (
@@ -30,11 +23,7 @@ const (
 
 // NewARC returns an empty ARC policy.
 func NewARC() *ARC {
-	return &ARC{
-		t1: list.New(), t2: list.New(),
-		b1: list.New(), b2: list.New(),
-		where: make(map[PageID]*arcEntry),
-	}
+	return &ARC{nodes: newPageTable[qnode]()}
 }
 
 // Name implements Policy.
@@ -50,38 +39,38 @@ func (a *ARC) SetCapacity(pages int) {
 
 // OnAccess implements Policy: any hit promotes to T2 MRU.
 func (a *ARC) OnAccess(id PageID) {
-	e, ok := a.where[id]
-	if !ok {
+	e := a.nodes.get(id)
+	if e == nil {
 		return
 	}
-	switch e.list {
+	switch e.tag {
 	case lT1:
-		a.t1.Remove(e.elem)
-		e.elem = a.t2.PushFront(id)
-		e.list = lT2
+		a.t1.remove(e)
+		e.tag = lT2
+		a.t2.pushFront(e)
 	case lT2:
-		a.t2.MoveToFront(e.elem)
+		a.t2.moveToFront(e)
 	}
 }
 
 // OnMiss implements Policy: ghost hits adapt p.
 func (a *ARC) OnMiss(id PageID) {
-	e, ok := a.where[id]
-	if !ok {
+	e := a.nodes.get(id)
+	if e == nil {
 		return
 	}
-	switch e.list {
+	switch e.tag {
 	case lB1:
 		delta := 1
-		if a.b1.Len() > 0 && a.b2.Len() > a.b1.Len() {
-			delta = a.b2.Len() / a.b1.Len()
+		if a.b1.n > 0 && a.b2.n > a.b1.n {
+			delta = a.b2.n / a.b1.n
 		}
 		a.p = min(a.p+delta, a.capacity)
 		// Leave the ghost in place; OnInsert consumes it.
 	case lB2:
 		delta := 1
-		if a.b2.Len() > 0 && a.b1.Len() > a.b2.Len() {
-			delta = a.b1.Len() / a.b2.Len()
+		if a.b2.n > 0 && a.b1.n > a.b2.n {
+			delta = a.b1.n / a.b2.n
 		}
 		a.p = max(a.p-delta, 0)
 	}
@@ -89,68 +78,59 @@ func (a *ARC) OnMiss(id PageID) {
 
 // OnInsert implements Policy.
 func (a *ARC) OnInsert(id PageID) {
-	if e, ok := a.where[id]; ok {
-		switch e.list {
-		case lB1:
-			a.b1.Remove(e.elem)
-			e.elem = a.t2.PushFront(id)
-			e.list = lT2
-			return
-		case lB2:
-			a.b2.Remove(e.elem)
-			e.elem = a.t2.PushFront(id)
-			e.list = lT2
-			return
-		default:
-			return // already resident
+	e, added := a.nodes.put(id)
+	if !added {
+		if e.tag == lB1 || e.tag == lB2 {
+			a.listOf(e.tag).remove(e)
+			e.tag = lT2
+			a.t2.pushFront(e)
 		}
+		return // otherwise already resident
 	}
-	a.where[id] = &arcEntry{elem: a.t1.PushFront(id), list: lT1}
+	e.id, e.tag = id, lT1
+	a.t1.pushFront(e)
 	a.trimGhosts()
 }
 
 // OnRemove implements Policy.
 func (a *ARC) OnRemove(id PageID) {
-	e, ok := a.where[id]
-	if !ok {
-		return
+	if e := a.nodes.get(id); e != nil {
+		a.listOf(e.tag).remove(e)
+		a.nodes.del(id)
 	}
-	a.listOf(e.list).Remove(e.elem)
-	delete(a.where, id)
 }
 
-func (a *ARC) listOf(which int) *list.List {
+func (a *ARC) listOf(which uint8) *queue {
 	switch which {
 	case lT1:
-		return a.t1
+		return &a.t1
 	case lT2:
-		return a.t2
+		return &a.t2
 	case lB1:
-		return a.b1
+		return &a.b1
 	default:
-		return a.b2
+		return &a.b2
 	}
 }
 
 // Victim implements Policy: evict from T1 if it exceeds the target p,
 // else from T2; the evicted page becomes a ghost.
 func (a *ARC) Victim() (PageID, bool) {
-	fromT1 := a.t1.Len() > 0 && (a.t1.Len() > a.p || a.t2.Len() == 0)
-	var src, ghost *list.List
-	var ghostList int
+	fromT1 := a.t1.n > 0 && (a.t1.n > a.p || a.t2.n == 0)
+	var src, ghost *queue
+	var ghostList uint8
 	if fromT1 {
-		src, ghost, ghostList = a.t1, a.b1, lB1
-	} else if a.t2.Len() > 0 {
-		src, ghost, ghostList = a.t2, a.b2, lB2
+		src, ghost, ghostList = &a.t1, &a.b1, lB1
+	} else if a.t2.n > 0 {
+		src, ghost, ghostList = &a.t2, &a.b2, lB2
 	} else {
 		return PageID{}, false
 	}
-	e := src.Back()
-	id := e.Value.(PageID)
-	src.Remove(e)
-	entry := a.where[id]
-	entry.elem = ghost.PushFront(id)
-	entry.list = ghostList
+	e := src.tail
+	id := e.id
+	src.remove(e)
+	e.tag = ghostList
+	ghost.pushFront(e)
 	a.trimGhosts()
 	return id, true
 }
@@ -158,15 +138,11 @@ func (a *ARC) Victim() (PageID, bool) {
 // trimGhosts bounds ghost memory: |T1|+|B1| <= c and total directory
 // size <= 2c, per the ARC paper.
 func (a *ARC) trimGhosts() {
-	for a.t1.Len()+a.b1.Len() > a.capacity && a.b1.Len() > 0 {
-		e := a.b1.Back()
-		delete(a.where, e.Value.(PageID))
-		a.b1.Remove(e)
+	for a.t1.n+a.b1.n > a.capacity && a.b1.n > 0 {
+		popBack(&a.b1, &a.nodes)
 	}
-	for a.t1.Len()+a.t2.Len()+a.b1.Len()+a.b2.Len() > 2*a.capacity && a.b2.Len() > 0 {
-		e := a.b2.Back()
-		delete(a.where, e.Value.(PageID))
-		a.b2.Remove(e)
+	for a.t1.n+a.t2.n+a.b1.n+a.b2.n > 2*a.capacity && a.b2.n > 0 {
+		popBack(&a.b2, &a.nodes)
 	}
 }
 

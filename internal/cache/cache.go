@@ -11,10 +11,7 @@
 // axis that the harness can sweep.
 package cache
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // PageSize is the cache granule in bytes, matching the x86 Linux page.
 const PageSize = 4096
@@ -23,7 +20,7 @@ const PageSize = 4096
 // uses reserved File numbers chosen by the file system).
 type PageID struct {
 	File  uint64 // inode number or metadata stream id
-	Index int64  // page index within the file
+	Index int64  // page index within the file; never negative
 }
 
 // String formats the id for diagnostics.
@@ -61,10 +58,11 @@ func (s Stats) HitRatio() float64 {
 }
 
 type pageMeta struct {
-	dirty      bool
-	writeback  bool   // write-back submitted, completion not yet fired
+	qnode             // the page's id, and its links on the dirtied-order list
 	wbGen      uint64 // flight token of the current write-back (see MarkWriteback)
-	prefetched bool   // inserted by readahead, not yet referenced
+	dirty      bool
+	writeback  bool // write-back submitted, completion not yet fired
+	prefetched bool // inserted by readahead, not yet referenced
 }
 
 // Cache is a fixed-capacity page cache. It tracks residency and dirty
@@ -75,30 +73,18 @@ type pageMeta struct {
 // single-goroutine.
 type Cache struct {
 	capacity int // pages; 0 means cache disabled
-	pages    map[PageID]*pageMeta
+	pages    pageTable[pageMeta]
 	policy   Policy
 	stats    Stats
-	dirty    int    // resident dirty pages (kept incrementally)
 	wb       int    // resident pages with write-back in flight
 	wbGen    uint64 // flight-token counter for MarkWriteback
-	// dirtySet and the intrusive dirtyHead/dirtyTail list track dirty
-	// pages in the order they were dirtied. The order matters: the
-	// write-back flusher collects bounded batches, and iterating a Go
-	// map would hand it a different batch on every run, destroying the
-	// bit-reproducibility the harness promises. FIFO order is also
-	// what real kernels approximate (oldest-dirtied first).
-	dirtySet             map[PageID]*dirtyEnt
-	dirtyHead, dirtyTail *dirtyEnt
-	// byFile indexes resident page indices per file so that
-	// InvalidateFile (unlink, truncate) need not scan the whole
-	// cache.
-	byFile map[uint64]map[int64]struct{}
-}
-
-// dirtyEnt is one node of the dirtied-order list.
-type dirtyEnt struct {
-	id         PageID
-	prev, next *dirtyEnt
+	// dirtied lists the dirty pages in the order they were dirtied.
+	// The order matters: the write-back flusher collects bounded
+	// batches, and iterating a Go map would hand it a different batch
+	// on every run, destroying the bit-reproducibility the harness
+	// promises. FIFO order is also what real kernels approximate
+	// (oldest-dirtied first).
+	dirtied queue
 }
 
 // New returns a cache holding capacityPages pages under the given
@@ -114,71 +100,28 @@ func New(capacityPages int, policy Policy) *Cache {
 	policy.SetCapacity(capacityPages)
 	return &Cache{
 		capacity: capacityPages,
-		pages:    make(map[PageID]*pageMeta),
+		pages:    newPageTable[pageMeta](),
 		policy:   policy,
-		byFile:   make(map[uint64]map[int64]struct{}),
-		dirtySet: make(map[PageID]*dirtyEnt),
 	}
 }
 
-// markDirtyCounters and clearDirtyCounters keep the dirty-page
-// bookkeeping in one place, appending to / unlinking from the
-// dirtied-order list.
-func (c *Cache) markDirtyCounters(id PageID) {
-	c.dirty++
-	e := &dirtyEnt{id: id, prev: c.dirtyTail}
-	if c.dirtyTail != nil {
-		c.dirtyTail.next = e
-	} else {
-		c.dirtyHead = e
-	}
-	c.dirtyTail = e
-	c.dirtySet[id] = e
+// setDirty and clearDirty keep the dirty bit and the dirtied-order
+// list in step.
+func (c *Cache) setDirty(m *pageMeta) {
+	m.dirty = true
+	c.dirtied.pushBack(&m.qnode)
 }
 
-func (c *Cache) clearDirtyCounters(id PageID) {
-	e, ok := c.dirtySet[id]
-	if !ok {
-		return
-	}
-	c.dirty--
-	delete(c.dirtySet, id)
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.dirtyHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.dirtyTail = e.prev
-	}
-}
-
-// addIndex and delIndex maintain the per-file page index.
-func (c *Cache) addIndex(id PageID) {
-	m, ok := c.byFile[id.File]
-	if !ok {
-		m = make(map[int64]struct{})
-		c.byFile[id.File] = m
-	}
-	m[id.Index] = struct{}{}
-}
-
-func (c *Cache) delIndex(id PageID) {
-	if m, ok := c.byFile[id.File]; ok {
-		delete(m, id.Index)
-		if len(m) == 0 {
-			delete(c.byFile, id.File)
-		}
-	}
+func (c *Cache) clearDirty(m *pageMeta) {
+	m.dirty = false
+	c.dirtied.remove(&m.qnode)
 }
 
 // Capacity reports the configured size in pages.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len reports the number of resident pages.
-func (c *Cache) Len() int { return len(c.pages) }
+func (c *Cache) Len() int { return c.pages.len() }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -191,17 +134,13 @@ func (c *Cache) Policy() Policy { return c.policy }
 
 // Contains reports residency without recording an access — for tests
 // and for readahead duplicate suppression.
-func (c *Cache) Contains(id PageID) bool {
-	_, ok := c.pages[id]
-	return ok
-}
+func (c *Cache) Contains(id PageID) bool { return c.pages.get(id) != nil }
 
 // Lookup records an access to id. It returns whether the page was
 // resident. A miss is reported to the policy (ARC and 2Q learn from
 // ghost hits).
 func (c *Cache) Lookup(id PageID) bool {
-	m, ok := c.pages[id]
-	if ok {
+	if m := c.pages.get(id); m != nil {
 		c.stats.Hits++
 		if m.prefetched {
 			m.prefetched = false
@@ -230,68 +169,71 @@ func (c *Cache) InsertPrefetched(id PageID) []Evicted {
 }
 
 func (c *Cache) insert(id PageID, dirty, prefetched bool) []Evicted {
-	if m, ok := c.pages[id]; ok {
+	if m := c.pages.get(id); m != nil {
 		if dirty && !m.dirty {
-			m.dirty = true
-			c.markDirtyCounters(id)
+			c.setDirty(m)
 		}
 		return nil
 	}
 	if c.capacity == 0 {
 		return nil
 	}
-	var evicted []Evicted
-	for len(c.pages) >= c.capacity {
-		victim, ok := c.policy.Victim()
-		if !ok {
-			// The policy lost track of a page; fail loudly — this is
-			// an invariant violation, not a recoverable state.
-			panic(fmt.Sprintf("cache: policy %q has no victim but cache holds %d/%d pages",
-				c.policy.Name(), len(c.pages), c.capacity))
-		}
-		vm := c.pages[victim]
-		if vm == nil {
-			panic(fmt.Sprintf("cache: policy %q evicted non-resident page %v", c.policy.Name(), victim))
-		}
-		delete(c.pages, victim)
-		c.delIndex(victim)
-		c.stats.Evictions++
-		if vm.dirty {
-			c.stats.DirtyEvict++
-			c.clearDirtyCounters(victim)
-		}
-		c.dropWriteback(vm)
-		evicted = append(evicted, Evicted{ID: victim, Dirty: vm.dirty})
-	}
-	c.pages[id] = &pageMeta{dirty: dirty, prefetched: prefetched}
-	c.addIndex(id)
+	evicted := c.evictTo(c.capacity - 1)
+	m, _ := c.pages.put(id)
+	m.id, m.prefetched = id, prefetched
 	if dirty {
-		c.markDirtyCounters(id)
+		c.setDirty(m)
 	}
 	c.policy.OnInsert(id)
 	c.stats.Inserts++
 	return evicted
 }
 
+// evictTo evicts the policy's victims until at most limit pages
+// remain, and returns them.
+func (c *Cache) evictTo(limit int) []Evicted {
+	var evicted []Evicted
+	for c.pages.len() > limit {
+		victim, ok := c.policy.Victim()
+		if !ok {
+			// The policy lost track of a page; fail loudly — this is
+			// an invariant violation, not a recoverable state.
+			panic(fmt.Sprintf("cache: policy %q has no victim but cache holds %d/%d pages",
+				c.policy.Name(), c.pages.len(), c.capacity))
+		}
+		vm := c.pages.get(victim)
+		if vm == nil {
+			panic(fmt.Sprintf("cache: policy %q evicted non-resident page %v", c.policy.Name(), victim))
+		}
+		c.stats.Evictions++
+		evicted = append(evicted, Evicted{ID: victim, Dirty: vm.dirty})
+		if vm.dirty {
+			c.stats.DirtyEvict++
+			c.clearDirty(vm)
+		}
+		c.dropWriteback(vm)
+		c.pages.del(victim)
+	}
+	return evicted
+}
+
 // MarkDirty sets the dirty bit on a resident page. It reports whether
 // the page was resident.
 func (c *Cache) MarkDirty(id PageID) bool {
-	m, ok := c.pages[id]
-	if !ok {
+	m := c.pages.get(id)
+	if m == nil {
 		return false
 	}
 	if !m.dirty {
-		m.dirty = true
-		c.markDirtyCounters(id)
+		c.setDirty(m)
 	}
 	return true
 }
 
 // Clean clears the dirty bit (after write-back).
 func (c *Cache) Clean(id PageID) {
-	if m, ok := c.pages[id]; ok && m.dirty {
-		m.dirty = false
-		c.clearDirtyCounters(id)
+	if m := c.pages.get(id); m != nil && m.dirty {
+		c.clearDirty(m)
 	}
 }
 
@@ -305,12 +247,11 @@ func (c *Cache) Clean(id PageID) {
 // during write-back stays dirty and is flushed again only after
 // EndWriteback).
 func (c *Cache) MarkWriteback(id PageID) (gen uint64, ok bool) {
-	m, present := c.pages[id]
-	if !present || !m.dirty || m.writeback {
+	m := c.pages.get(id)
+	if m == nil || !m.dirty || m.writeback {
 		return 0, false
 	}
-	m.dirty = false
-	c.clearDirtyCounters(id)
+	c.clearDirty(m)
 	m.writeback = true
 	c.wbGen++
 	m.wbGen = c.wbGen
@@ -326,7 +267,7 @@ func (c *Cache) MarkWriteback(id PageID) (gen uint64, ok bool) {
 // completion for an evicted or invalidated page is likewise a no-op —
 // its count was dropped at removal.
 func (c *Cache) EndWriteback(id PageID, gen uint64) {
-	if m, ok := c.pages[id]; ok && m.writeback && m.wbGen == gen {
+	if m := c.pages.get(id); m != nil && m.writeback && m.wbGen == gen {
 		m.writeback = false
 		c.wb--
 	}
@@ -339,8 +280,8 @@ func (c *Cache) WritebackCount() int { return c.wb }
 
 // IsWriteback reports the write-back state of a resident page.
 func (c *Cache) IsWriteback(id PageID) bool {
-	m, ok := c.pages[id]
-	return ok && m.writeback
+	m := c.pages.get(id)
+	return m != nil && m.writeback
 }
 
 // dropWriteback forgets in-flight state for a page leaving the cache.
@@ -353,20 +294,20 @@ func (c *Cache) dropWriteback(m *pageMeta) {
 
 // IsDirty reports the dirty bit of a resident page.
 func (c *Cache) IsDirty(id PageID) bool {
-	m, ok := c.pages[id]
-	return ok && m.dirty
+	m := c.pages.get(id)
+	return m != nil && m.dirty
 }
 
 // DirtyCount reports the number of dirty resident pages. It is O(1);
 // the write-back trigger calls it on every operation.
-func (c *Cache) DirtyCount() int { return c.dirty }
+func (c *Cache) DirtyCount() int { return c.dirtied.n }
 
 // CollectDirty appends up to max dirty page ids to dst, oldest
 // dirtied first, and returns it. The write-back flusher uses this;
 // pass max <= 0 for all dirty pages. Cost scales with the number of
 // dirty pages, not the cache size.
 func (c *Cache) CollectDirty(dst []PageID, max int) []PageID {
-	for e := c.dirtyHead; e != nil; e = e.next {
+	for e := c.dirtied.head; e != nil; e = e.next {
 		dst = append(dst, e.id)
 		if max > 0 && len(dst) >= max {
 			break
@@ -378,7 +319,7 @@ func (c *Cache) CollectDirty(dst []PageID, max int) []PageID {
 // CollectDirtyFile appends the dirty pages of one file to dst, oldest
 // dirtied first — fsync's working set.
 func (c *Cache) CollectDirtyFile(dst []PageID, file uint64) []PageID {
-	for e := c.dirtyHead; e != nil; e = e.next {
+	for e := c.dirtied.head; e != nil; e = e.next {
 		if e.id.File == file {
 			dst = append(dst, e.id)
 		}
@@ -390,51 +331,33 @@ func (c *Cache) CollectDirtyFile(dst []PageID, file uint64) []PageID {
 // and unlink, where the data is going away anyway). It reports whether
 // the page was resident.
 func (c *Cache) Invalidate(id PageID) bool {
-	m, ok := c.pages[id]
-	if !ok {
+	m := c.pages.get(id)
+	if m == nil {
 		return false
 	}
-	if m.dirty {
-		c.clearDirtyCounters(id)
-	}
-	c.dropWriteback(m)
-	delete(c.pages, id)
-	c.delIndex(id)
-	c.policy.OnRemove(id)
+	c.forget(m)
+	c.pages.del(id)
 	c.stats.Invalidations++
 	return true
 }
 
+// forget drops a leaving page's dirty and write-back state and tells
+// the policy.
+func (c *Cache) forget(m *pageMeta) {
+	if m.dirty {
+		c.clearDirty(m)
+	}
+	c.dropWriteback(m)
+	c.policy.OnRemove(m.id)
+}
+
 // InvalidateFile drops every resident page of the given file and
-// returns how many were dropped. It uses the per-file index, so its
-// cost scales with the file's resident pages, not the cache size.
+// returns how many were dropped. Its cost scales with the file's
+// resident pages, not the cache size. Pages go in index order:
+// policies with history (ARC, 2Q) and random eviction see the
+// removals, so the order must be deterministic.
 func (c *Cache) InvalidateFile(file uint64) int {
-	idx, ok := c.byFile[file]
-	if !ok {
-		return 0
-	}
-	// Sort the victims: policies with history (ARC, 2Q) see removals,
-	// and feeding them map-iteration order would make ghost-list state
-	// — and therefore later evictions — nondeterministic.
-	indices := make([]int64, 0, len(idx))
-	for pageIdx := range idx {
-		indices = append(indices, pageIdx)
-	}
-	slices.Sort(indices)
-	n := 0
-	for _, pageIdx := range indices {
-		id := PageID{File: file, Index: pageIdx}
-		if m := c.pages[id]; m != nil {
-			if m.dirty {
-				c.clearDirtyCounters(id)
-			}
-			c.dropWriteback(m)
-		}
-		delete(c.pages, id)
-		c.policy.OnRemove(id)
-		n++
-	}
-	delete(c.byFile, file)
+	n := c.pages.removeFile(file, func(_ PageID, m *pageMeta) { c.forget(m) })
 	c.stats.Invalidations += int64(n)
 	return n
 }
@@ -449,57 +372,14 @@ func (c *Cache) Resize(capacityPages int) []Evicted {
 	}
 	c.capacity = capacityPages
 	c.policy.SetCapacity(capacityPages)
-	var evicted []Evicted
-	for len(c.pages) > c.capacity {
-		victim, ok := c.policy.Victim()
-		if !ok {
-			panic("cache: no victim during resize")
-		}
-		vm := c.pages[victim]
-		delete(c.pages, victim)
-		c.delIndex(victim)
-		c.stats.Evictions++
-		if vm.dirty {
-			c.stats.DirtyEvict++
-			c.clearDirtyCounters(victim)
-		}
-		c.dropWriteback(vm)
-		evicted = append(evicted, Evicted{ID: victim, Dirty: vm.dirty})
-	}
-	return evicted
+	return c.evictTo(c.capacity)
 }
 
-// Flush removes every page (writing nothing); tests and unmount use
-// it after the caller has written dirty pages back.
+// Flush removes every page (writing nothing), in (file, index) order;
+// tests and unmount use it after the caller has written dirty pages
+// back.
 func (c *Cache) Flush() {
-	// Deterministic removal order, for the same reason as
-	// InvalidateFile: policy history must not depend on map iteration.
-	ids := make([]PageID, 0, len(c.pages))
-	for id := range c.pages {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b PageID) int {
-		if a.File != b.File {
-			if a.File < b.File {
-				return -1
-			}
-			return 1
-		}
-		if a.Index != b.Index {
-			if a.Index < b.Index {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	for _, id := range ids {
-		c.policy.OnRemove(id)
-		delete(c.pages, id)
-	}
-	c.byFile = make(map[uint64]map[int64]struct{})
-	c.dirtySet = make(map[PageID]*dirtyEnt)
-	c.dirtyHead, c.dirtyTail = nil, nil
-	c.dirty = 0
+	c.pages.removeAll(func(id PageID, _ *pageMeta) { c.policy.OnRemove(id) })
+	c.dirtied = queue{}
 	c.wb = 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -285,7 +286,7 @@ func policyInvariant(t *testing.T, name string) {
 		if !c.Contains(v) {
 			t.Fatalf("policy %s: victim %v not resident", name, v)
 		}
-		delete(c.pages, v)
+		c.pages.del(v)
 		drained++
 		if drained > 10*capacity {
 			t.Fatalf("policy %s: drain did not terminate", name)
@@ -376,9 +377,8 @@ func TestTwoQGhostPromotion(t *testing.T) {
 		t.Skip("page unexpectedly resident; ghost path not exercised")
 	}
 	c.Insert(ghost, false)
-	e, ok := q.where[ghost]
-	if !ok || e.queue != qAm {
-		t.Errorf("ghost-hit page not promoted to Am (entry=%+v ok=%v)", e, ok)
+	if e := q.nodes.get(ghost); e == nil || e.tag != qAm {
+		t.Errorf("ghost-hit page not promoted to Am (entry=%+v)", e)
 	}
 	if q.residentLen() != c.Len() {
 		t.Errorf("2Q resident bookkeeping (%d) disagrees with cache (%d)", q.residentLen(), c.Len())
@@ -555,5 +555,33 @@ func TestWritebackStaleCompletionIgnored(t *testing.T) {
 	c.EndWriteback(a, genB)
 	if c.WritebackCount() != 0 {
 		t.Fatalf("wb=%d after live completion", c.WritebackCount())
+	}
+}
+
+// strayPolicy is LRU except that its victim was never inserted.
+type strayPolicy struct{ *LRU }
+
+func (strayPolicy) Victim() (PageID, bool) { return page(99, 0), true }
+
+func TestEvictionRejectsNonResidentVictim(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		evict func(*Cache)
+	}{
+		{"insert", func(c *Cache) { c.Insert(page(1, 2), false) }},
+		{"resize", func(c *Cache) { c.Resize(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(2, strayPolicy{NewLRU()})
+			c.Insert(page(1, 0), false)
+			c.Insert(page(1, 1), false)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "evicted non-resident page 99:0") {
+					t.Fatalf("panic %q, want the non-resident victim named", msg)
+				}
+			}()
+			tc.evict(c)
+		})
 	}
 }

@@ -1,23 +1,16 @@
 package cache
 
-import "container/list"
-
 // Clock approximates LRU with a reference bit and a sweeping hand —
 // the classic CLOCK algorithm used where true LRU bookkeeping on every
 // hit is too expensive.
 type Clock struct {
-	ring  *list.List // hand sweeps from Back towards Front
-	items map[PageID]*clockEntry
-}
-
-type clockEntry struct {
-	elem *list.Element
-	ref  bool
+	ring  queue            // hand sweeps from the back towards the front
+	nodes pageTable[qnode] // tag is the reference bit
 }
 
 // NewClock returns an empty CLOCK policy.
 func NewClock() *Clock {
-	return &Clock{ring: list.New(), items: make(map[PageID]*clockEntry)}
+	return &Clock{nodes: newPageTable[qnode]()}
 }
 
 // Name implements Policy.
@@ -28,27 +21,24 @@ func (c *Clock) SetCapacity(int) {}
 
 // OnAccess implements Policy: set the reference bit, move nothing.
 func (c *Clock) OnAccess(id PageID) {
-	if e, ok := c.items[id]; ok {
-		e.ref = true
+	if e := c.nodes.get(id); e != nil {
+		e.tag = 1
 	}
 }
 
 // OnInsert implements Policy.
 func (c *Clock) OnInsert(id PageID) {
-	if e, ok := c.items[id]; ok {
-		e.ref = true
+	e, added := c.nodes.put(id)
+	if !added {
+		e.tag = 1
 		return
 	}
-	c.items[id] = &clockEntry{elem: c.ring.PushFront(id)}
+	e.id = id
+	c.ring.pushFront(e)
 }
 
 // OnRemove implements Policy.
-func (c *Clock) OnRemove(id PageID) {
-	if e, ok := c.items[id]; ok {
-		c.ring.Remove(e.elem)
-		delete(c.items, id)
-	}
-}
+func (c *Clock) OnRemove(id PageID) { dequeue(&c.ring, &c.nodes, id) }
 
 // OnMiss implements Policy.
 func (c *Clock) OnMiss(PageID) {}
@@ -56,19 +46,10 @@ func (c *Clock) OnMiss(PageID) {}
 // Victim implements Policy: sweep the hand, clearing reference bits,
 // until an unreferenced page is found.
 func (c *Clock) Victim() (PageID, bool) {
-	for c.ring.Len() > 0 {
-		e := c.ring.Back()
-		id := e.Value.(PageID)
-		entry := c.items[id]
-		if entry.ref {
-			// Second chance: clear the bit and rotate to the front.
-			entry.ref = false
-			c.ring.MoveToFront(e)
-			continue
-		}
-		c.ring.Remove(e)
-		delete(c.items, id)
-		return id, true
+	for e := c.ring.tail; e != nil && e.tag != 0; e = c.ring.tail {
+		// Second chance: clear the bit and rotate to the front.
+		e.tag = 0
+		c.ring.moveToFront(e)
 	}
-	return PageID{}, false
+	return popBack(&c.ring, &c.nodes)
 }

@@ -1,18 +1,16 @@
 package cache
 
-import "container/list"
-
 // LRU evicts the least recently used page. This is the default policy
 // and the closest simple analogue of the Linux page cache the paper's
 // testbed ran on.
 type LRU struct {
-	ll    *list.List // front = MRU
-	items map[PageID]*list.Element
+	q     queue // front = MRU
+	nodes pageTable[qnode]
 }
 
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU {
-	return &LRU{ll: list.New(), items: make(map[PageID]*list.Element)}
+	return &LRU{nodes: newPageTable[qnode]()}
 }
 
 // Name implements Policy.
@@ -23,53 +21,41 @@ func (l *LRU) SetCapacity(int) {}
 
 // OnAccess implements Policy.
 func (l *LRU) OnAccess(id PageID) {
-	if e, ok := l.items[id]; ok {
-		l.ll.MoveToFront(e)
+	if e := l.nodes.get(id); e != nil {
+		l.q.moveToFront(e)
 	}
 }
 
 // OnInsert implements Policy.
 func (l *LRU) OnInsert(id PageID) {
-	if e, ok := l.items[id]; ok {
-		l.ll.MoveToFront(e)
+	e, added := l.nodes.put(id)
+	if !added {
+		l.q.moveToFront(e)
 		return
 	}
-	l.items[id] = l.ll.PushFront(id)
+	e.id = id
+	l.q.pushFront(e)
 }
 
 // OnRemove implements Policy.
-func (l *LRU) OnRemove(id PageID) {
-	if e, ok := l.items[id]; ok {
-		l.ll.Remove(e)
-		delete(l.items, id)
-	}
-}
+func (l *LRU) OnRemove(id PageID) { dequeue(&l.q, &l.nodes, id) }
 
 // OnMiss implements Policy; LRU learns nothing from misses.
 func (l *LRU) OnMiss(PageID) {}
 
 // Victim implements Policy.
-func (l *LRU) Victim() (PageID, bool) {
-	e := l.ll.Back()
-	if e == nil {
-		return PageID{}, false
-	}
-	id := e.Value.(PageID)
-	l.ll.Remove(e)
-	delete(l.items, id)
-	return id, true
-}
+func (l *LRU) Victim() (PageID, bool) { return popBack(&l.q, &l.nodes) }
 
 // FIFO evicts in insertion order, ignoring recency. It is the
 // baseline that makes LRU's recency benefit measurable.
 type FIFO struct {
-	ll    *list.List
-	items map[PageID]*list.Element
+	q     queue // front = newest
+	nodes pageTable[qnode]
 }
 
 // NewFIFO returns an empty FIFO policy.
 func NewFIFO() *FIFO {
-	return &FIFO{ll: list.New(), items: make(map[PageID]*list.Element)}
+	return &FIFO{nodes: newPageTable[qnode]()}
 }
 
 // Name implements Policy.
@@ -83,31 +69,37 @@ func (f *FIFO) OnAccess(PageID) {}
 
 // OnInsert implements Policy.
 func (f *FIFO) OnInsert(id PageID) {
-	if _, ok := f.items[id]; ok {
-		return
+	if e, added := f.nodes.put(id); added {
+		e.id = id
+		f.q.pushFront(e)
 	}
-	f.items[id] = f.ll.PushFront(id)
 }
 
 // OnRemove implements Policy.
-func (f *FIFO) OnRemove(id PageID) {
-	if e, ok := f.items[id]; ok {
-		f.ll.Remove(e)
-		delete(f.items, id)
-	}
-}
+func (f *FIFO) OnRemove(id PageID) { dequeue(&f.q, &f.nodes, id) }
 
 // OnMiss implements Policy.
 func (f *FIFO) OnMiss(PageID) {}
 
 // Victim implements Policy.
-func (f *FIFO) Victim() (PageID, bool) {
-	e := f.ll.Back()
+func (f *FIFO) Victim() (PageID, bool) { return popBack(&f.q, &f.nodes) }
+
+// dequeue forgets id, unlinking it from q, if nodes holds it.
+func dequeue(q *queue, nodes *pageTable[qnode], id PageID) {
+	if e := nodes.get(id); e != nil {
+		q.remove(e)
+		nodes.del(id)
+	}
+}
+
+// popBack forgets the oldest entry of q and returns its page.
+func popBack(q *queue, nodes *pageTable[qnode]) (PageID, bool) {
+	e := q.tail
 	if e == nil {
 		return PageID{}, false
 	}
-	id := e.Value.(PageID)
-	f.ll.Remove(e)
-	delete(f.items, id)
+	id := e.id
+	q.remove(e)
+	nodes.del(id)
 	return id, true
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Policy is an eviction policy. The Cache owns residency (the page
-// map); the policy owns ordering. Invariant: the set of pages the
-// policy tracks as resident equals the cache's page map.
+// Policy is an eviction policy. The Cache owns residency (its page
+// table); the policy owns ordering. Invariant: the set of pages the
+// policy tracks as resident equals the cache's resident set.
 //
 // OnMiss exists so adaptive policies (ARC, 2Q) can learn from ghost
 // hits; simple policies ignore it.

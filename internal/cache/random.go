@@ -7,12 +7,12 @@ import "repro/internal/sim"
 type Random struct {
 	rng   *sim.RNG
 	ids   []PageID
-	index map[PageID]int // position of each id in ids
+	index pageTable[int] // position of each id in ids
 }
 
 // NewRandom returns a random-eviction policy drawing from rng.
 func NewRandom(rng *sim.RNG) *Random {
-	return &Random{rng: rng, index: make(map[PageID]int)}
+	return &Random{rng: rng, index: newPageTable[int]()}
 }
 
 // Name implements Policy.
@@ -26,24 +26,23 @@ func (r *Random) OnAccess(PageID) {}
 
 // OnInsert implements Policy.
 func (r *Random) OnInsert(id PageID) {
-	if _, ok := r.index[id]; ok {
-		return
+	if pos, added := r.index.put(id); added {
+		*pos = len(r.ids)
+		r.ids = append(r.ids, id)
 	}
-	r.index[id] = len(r.ids)
-	r.ids = append(r.ids, id)
 }
 
 // OnRemove implements Policy: swap-delete from the slice.
 func (r *Random) OnRemove(id PageID) {
-	pos, ok := r.index[id]
-	if !ok {
+	pos := r.index.get(id)
+	if pos == nil {
 		return
 	}
 	last := len(r.ids) - 1
-	r.ids[pos] = r.ids[last]
-	r.index[r.ids[pos]] = pos
+	r.ids[*pos] = r.ids[last]
+	*r.index.get(r.ids[*pos]) = *pos
 	r.ids = r.ids[:last]
-	delete(r.index, id)
+	r.index.del(id)
 }
 
 // OnMiss implements Policy.

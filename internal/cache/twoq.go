@@ -1,7 +1,5 @@
 package cache
 
-import "container/list"
-
 // TwoQ implements the 2Q policy (Johnson & Shasha, VLDB '94): new
 // pages enter a small FIFO probation queue (A1in); pages evicted from
 // probation are remembered in a ghost queue (A1out); a miss that hits
@@ -12,16 +10,11 @@ type TwoQ struct {
 	kin      int // max A1in size (resident)
 	kout     int // max A1out size (ghost entries)
 
-	a1in  *list.List // FIFO of resident probation pages
-	a1out *list.List // FIFO of ghost ids
-	am    *list.List // LRU of resident hot pages (front = MRU)
+	a1in  queue // FIFO of resident probation pages
+	a1out queue // FIFO of ghost ids
+	am    queue // LRU of resident hot pages (front = MRU)
 
-	where map[PageID]*twoQEntry
-}
-
-type twoQEntry struct {
-	elem  *list.Element
-	queue int // which list: qA1in, qA1out, qAm
+	nodes pageTable[qnode] // tag says which queue: qA1in, qA1out, qAm
 }
 
 const (
@@ -33,12 +26,7 @@ const (
 // NewTwoQ returns an empty 2Q policy. Queue sizing uses the paper's
 // recommended Kin = 25% and Kout = 50% of capacity.
 func NewTwoQ() *TwoQ {
-	return &TwoQ{
-		a1in:  list.New(),
-		a1out: list.New(),
-		am:    list.New(),
-		where: make(map[PageID]*twoQEntry),
-	}
+	return &TwoQ{nodes: newPageTable[qnode]()}
 }
 
 // Name implements Policy.
@@ -59,16 +47,16 @@ func (q *TwoQ) SetCapacity(pages int) {
 
 // OnAccess implements Policy.
 func (q *TwoQ) OnAccess(id PageID) {
-	e, ok := q.where[id]
-	if !ok {
+	e := q.nodes.get(id)
+	if e == nil {
 		return
 	}
-	switch e.queue {
+	switch e.tag {
 	case qA1in:
 		// 2Q leaves probation pages in place on hit; promotion
 		// happens only via the ghost queue.
 	case qAm:
-		q.am.MoveToFront(e.elem)
+		q.am.moveToFront(e)
 	}
 }
 
@@ -81,69 +69,60 @@ func (q *TwoQ) OnMiss(id PageID) {
 
 // OnInsert implements Policy.
 func (q *TwoQ) OnInsert(id PageID) {
-	if e, ok := q.where[id]; ok {
-		switch e.queue {
-		case qA1out:
+	e, added := q.nodes.put(id)
+	if !added {
+		if e.tag == qA1out {
 			// Reuse detected: admit to the hot queue.
-			q.a1out.Remove(e.elem)
-			e.elem = q.am.PushFront(id)
-			e.queue = qAm
-			return
-		default:
-			return // already resident
+			q.a1out.remove(e)
+			e.tag = qAm
+			q.am.pushFront(e)
 		}
+		return // otherwise already resident
 	}
-	q.where[id] = &twoQEntry{elem: q.a1in.PushFront(id), queue: qA1in}
+	e.id, e.tag = id, qA1in
+	q.a1in.pushFront(e)
 }
 
 // OnRemove implements Policy.
 func (q *TwoQ) OnRemove(id PageID) {
-	e, ok := q.where[id]
-	if !ok {
-		return
+	if e := q.nodes.get(id); e != nil {
+		q.queueOf(e.tag).remove(e)
+		q.nodes.del(id)
 	}
-	switch e.queue {
+}
+
+func (q *TwoQ) queueOf(tag uint8) *queue {
+	switch tag {
 	case qA1in:
-		q.a1in.Remove(e.elem)
+		return &q.a1in
 	case qA1out:
-		q.a1out.Remove(e.elem)
-	case qAm:
-		q.am.Remove(e.elem)
+		return &q.a1out
+	default:
+		return &q.am
 	}
-	delete(q.where, id)
 }
 
 // Victim implements Policy.
 func (q *TwoQ) Victim() (PageID, bool) {
-	if q.a1in.Len() > q.kin || q.am.Len() == 0 {
-		if e := q.a1in.Back(); e != nil {
-			id := e.Value.(PageID)
-			q.a1in.Remove(e)
+	if q.a1in.n > q.kin || q.am.n == 0 {
+		if e := q.a1in.tail; e != nil {
+			id := e.id
+			q.a1in.remove(e)
 			// Remember the page as a ghost.
-			entry := q.where[id]
-			entry.elem = q.a1out.PushFront(id)
-			entry.queue = qA1out
+			e.tag = qA1out
+			q.a1out.pushFront(e)
 			q.trimGhosts()
 			return id, true
 		}
 	}
-	if e := q.am.Back(); e != nil {
-		id := e.Value.(PageID)
-		q.am.Remove(e)
-		delete(q.where, id)
-		return id, true
-	}
-	return PageID{}, false
+	return popBack(&q.am, &q.nodes)
 }
 
 func (q *TwoQ) trimGhosts() {
-	for q.a1out.Len() > q.kout {
-		e := q.a1out.Back()
-		id := e.Value.(PageID)
-		q.a1out.Remove(e)
-		delete(q.where, id)
+	for q.a1out.n > q.kout {
+		popBack(&q.a1out, &q.nodes)
 	}
 }
 
 // residentLen reports resident pages tracked (for tests).
-func (q *TwoQ) residentLen() int { return q.a1in.Len() + q.am.Len() }
+func (q *TwoQ) residentLen() int { return q.a1in.n + q.am.n }

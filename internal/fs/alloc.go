@@ -1,6 +1,9 @@
 package fs
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Run is a contiguous range of disk blocks handed out by an allocator.
 type Run struct {
@@ -88,9 +91,10 @@ func (a *BitmapAlloc) Reserve(start, count int64) {
 }
 
 // Alloc allocates n blocks first-fit starting at goal, wrapping once
-// around the device. The result is a list of runs, contiguous when
-// free space allows. Returns ErrNoSpace if fewer than n blocks are
-// free.
+// around the device: from the goal to the end of its group, through
+// every other group in turn, and last the goal group's blocks before
+// the goal. The result is a list of runs, contiguous when free space
+// allows. Returns ErrNoSpace if fewer than n blocks are free.
 func (a *BitmapAlloc) Alloc(n, goal int64) ([]Run, error) {
 	if n <= 0 {
 		return nil, nil
@@ -103,51 +107,70 @@ func (a *BitmapAlloc) Alloc(n, goal int64) ([]Run, error) {
 	}
 	var runs []Run
 	remaining := n
-	// Scan from the goal group onward, then wrap.
 	startGroup := goal / a.groupSize
 	ngroups := int64(len(a.groupFree))
-	pos := goal
-	for gi := int64(0); gi < ngroups && remaining > 0; gi++ {
+	for gi := int64(0); gi <= ngroups && remaining > 0; gi++ {
 		g := (startGroup + gi) % ngroups
 		if a.groupFree[g] == 0 {
-			pos = ((g + 1) % ngroups) * a.groupSize
 			continue
 		}
-		gStart := g * a.groupSize
-		gEnd := gStart + a.groupSize
-		if gEnd > a.total {
-			gEnd = a.total
+		lo, hi := g*a.groupSize, min((g+1)*a.groupSize, a.total)
+		switch gi {
+		case 0:
+			lo = goal
+		case ngroups:
+			hi = goal
 		}
-		b := pos
-		if b < gStart || b >= gEnd {
-			b = gStart
-		}
-		for b < gEnd && remaining > 0 {
-			if !a.isFree(b) {
-				b++
-				continue
-			}
-			// Extend the run as far as possible.
-			runStart := b
-			for b < gEnd && remaining > 0 && a.isFree(b) {
-				a.set(b)
-				b++
-				remaining--
-			}
-			runs = appendRun(runs, Run{Start: runStart, Count: b - runStart})
-		}
-		pos = ((g + 1) % ngroups) * a.groupSize
+		runs, remaining = a.take(runs, lo, hi, remaining)
 	}
 	if remaining > 0 {
-		// Wrapped the whole disk without finding enough: roll back.
-		for _, r := range runs {
-			for b := r.Start; b < r.Start+r.Count; b++ {
-				a.clear(b)
-			}
-		}
-		return nil, ErrNoSpace
+		// The scan covered every block and n <= a.free.
+		panic("fs: bitmap free counts disagree with the bitmap")
 	}
 	return runs, nil
+}
+
+// take allocates up to want free blocks of [lo, hi), which lies in one
+// group, first-fit. It returns runs extended by what it took and the
+// number of blocks still wanted.
+func (a *BitmapAlloc) take(runs []Run, lo, hi, want int64) ([]Run, int64) {
+	for want > 0 {
+		start := a.next(lo, hi, false)
+		if start == hi {
+			break
+		}
+		end := a.next(start, min(hi, start+want), true)
+		for b := start; b < end; {
+			// Set the run's bits a word at a time.
+			shift := uint(b & 63)
+			k := min(end-b, 64-int64(shift))
+			a.words[b>>6] |= (^uint64(0) >> (64 - uint(k))) << shift
+			b += k
+		}
+		a.free -= end - start
+		a.groupFree[start/a.groupSize] -= end - start
+		runs = appendRun(runs, Run{Start: start, Count: end - start})
+		want -= end - start
+		lo = end
+	}
+	return runs, want
+}
+
+// next returns the first block in [lo, hi) that is allocated (or free,
+// when allocated is false), or hi if there is none. It scans a word at
+// a time: free blocks are the set bits of an inverted word.
+func (a *BitmapAlloc) next(lo, hi int64, allocated bool) int64 {
+	var flip uint64
+	if !allocated {
+		flip = ^uint64(0)
+	}
+	for lo < hi {
+		if w := (a.words[lo>>6] ^ flip) >> uint(lo&63); w != 0 {
+			return min(lo+int64(bits.TrailingZeros64(w)), hi)
+		}
+		lo = (lo | 63) + 1
+	}
+	return hi
 }
 
 // FreeRun returns [start, start+count) to the free pool. Freeing a
