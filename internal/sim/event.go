@@ -2,14 +2,16 @@ package sim
 
 // This file is the discrete-event kernel: a binary heap of timestamped
 // events with deterministic sequence-number tie-breaking, plus Proc, a
-// goroutine-backed simulated process that can block on events. See
+// coroutine-backed simulated process that can block on events. See
 // DESIGN.md §2 for the kernel and §4 for the determinism rules.
 //
 // The kernel is strictly single-baton: at any instant exactly one
 // goroutine — the loop owner or the one Proc it handed control to — is
-// runnable. Handoffs go through unbuffered channels, so the race
-// detector sees a total happens-before order and shared simulation
-// state needs no locks.
+// runnable. Each Proc is an iter.Pull coroutine, so a handoff is a
+// direct goroutine switch that the race detector sees as a
+// happens-before edge, and shared simulation state needs no locks.
+
+import "iter"
 
 // EventLoop is a discrete-event scheduler under virtual time. Events
 // fire in (time, sequence) order: ties at the same virtual instant
@@ -181,35 +183,43 @@ func (l *EventLoop) down(i int) {
 	}
 }
 
-// Proc is a simulated process: a goroutine that runs simulation code
+// Proc is a simulated process: a coroutine that runs simulation code
 // and yields control back to the event loop whenever it waits for
 // virtual time to pass or for an external wake-up. Exactly one Proc
 // runs at a time; the loop hands it the baton and blocks until the
 // Proc parks or finishes.
 type Proc struct {
-	loop *EventLoop
-	now  Time
-	wake chan Time     // loop -> proc: resume, carrying the current time
-	park chan struct{} // proc -> loop: parked or finished
+	loop  *EventLoop
+	now   Time
+	next  func() (struct{}, bool) // loop -> proc: run until the next park; nil once finished
+	yield func(struct{}) bool     // proc -> loop: park
 }
 
 // Go spawns a process that begins executing body at virtual time
-// start. The body runs on its own goroutine but only while it holds
-// the baton; it must interact with virtual time exclusively through
-// its Proc. The goroutine comes from a bounded pool: a 100k-thread
-// workload run R times creates each worker stack once, not R times.
+// start. The body runs as a coroutine, only while it holds the baton;
+// it must interact with virtual time exclusively through its Proc.
+// The coroutine's goroutine exits when body returns.
 func (l *EventLoop) Go(start Time, body func(p *Proc)) *Proc {
-	p := &Proc{loop: l, wake: make(chan Time), park: make(chan struct{})}
-	spawnProc(p, body)
+	p := &Proc{loop: l}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.now = l.Now()
+		body(p)
+	})
 	l.ScheduleTarget(start, p)
 	return p
 }
 
 // resume hands the baton to the process and blocks until it parks or
-// finishes. It runs in loop context (inside an event).
+// finishes. It runs in loop context (inside an event). A panic in the
+// body surfaces here, on the goroutine running the loop.
 func (p *Proc) resume() {
-	p.wake <- p.loop.Now()
-	<-p.park
+	if p.next == nil {
+		panic("sim: resume of a finished proc")
+	}
+	if _, ok := p.next(); !ok {
+		p.next, p.yield = nil, nil
+	}
 }
 
 // RunEvent implements EventTarget: a scheduled Proc resumes. This is
@@ -233,9 +243,7 @@ func (p *Proc) WaitUntil(t Time) Time {
 		return p.now
 	}
 	p.loop.ScheduleTarget(t, p)
-	p.park <- struct{}{}
-	p.now = <-p.wake
-	return p.now
+	return p.Park()
 }
 
 // Sleep parks the process for d of virtual time.
@@ -245,12 +253,13 @@ func (p *Proc) Sleep(d Time) Time { return p.WaitUntil(p.now + d) }
 // virtual time at which the process was woken. The caller must have
 // arranged a wake-up first, or the process sleeps forever.
 func (p *Proc) Park() Time {
-	p.park <- struct{}{}
-	p.now = <-p.wake
+	p.yield(struct{}{})
+	p.now = p.loop.Now()
 	return p.now
 }
 
 // Unpark resumes a parked process at the loop's current time. It must
 // be called from loop context (inside an event callback) and hands the
-// baton to the process until it parks again.
+// baton to the process until it parks again. Unparking a finished
+// process panics.
 func (p *Proc) Unpark() { p.resume() }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -173,6 +174,61 @@ func BenchmarkProcHandoff(b *testing.B) {
 	l.Run()
 }
 
+// BenchmarkProcSpawn measures a proc's whole life: Go, then the loop
+// running its body (one park) to the end.
+func BenchmarkProcSpawn(b *testing.B) {
+	l := NewEventLoop(0)
+	l.Reserve(16)
+	body := func(p *Proc) { p.Sleep(1) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Go(l.Now(), body)
+		l.Run()
+	}
+}
+
+func TestProcResumeFinishedPanics(t *testing.T) {
+	l := NewEventLoop(0)
+	p := l.Go(0, func(p *Proc) { p.Sleep(1) })
+	l.Run()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "sim: ") {
+			t.Fatalf("Unpark of a finished proc: recovered %q, want a sim: panic", msg)
+		}
+	}()
+	p.Unpark()
+}
+
+func TestProcPanicSurfacesOnRun(t *testing.T) {
+	l := NewEventLoop(0)
+	after := false
+	l.Go(0, func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	l.Go(0, func(p *Proc) {
+		p.Sleep(10)
+		after = true
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v from Run, want boom", r)
+			}
+		}()
+		l.Run()
+	}()
+	if got := l.Now(); got != 5 {
+		t.Fatalf("loop stopped at %v, want 5", got)
+	}
+	// The loop is still usable: the other proc finishes.
+	l.Run()
+	if !after {
+		t.Fatal("surviving proc did not finish")
+	}
+}
+
 func TestScheduleTargetOrdersWithSchedule(t *testing.T) {
 	// Both APIs share one sequence space: interleaved same-time events
 	// fire in call order.
@@ -215,20 +271,20 @@ func BenchmarkScheduleAlloc(b *testing.B) {
 	b.Run("closure", func(b *testing.B) {
 		l := NewEventLoop(0)
 		l.Reserve(16)
-		p := &Proc{loop: l, wake: make(chan Time), park: make(chan struct{})}
+		p := &Proc{loop: l}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// The pre-fix form: a method-value closure per schedule.
 			l.Schedule(l.Now()+1, p.resume)
-			// Drop it without running (resume would block): pop the
-			// heap entry by hand.
+			// Drop it without running (p has no coroutine to
+			// resume): pop the heap entry by hand.
 			l.heap = l.heap[:0]
 		}
 	})
 	b.Run("target", func(b *testing.B) {
 		l := NewEventLoop(0)
 		l.Reserve(16)
-		p := &Proc{loop: l, wake: make(chan Time), park: make(chan struct{})}
+		p := &Proc{loop: l}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			l.ScheduleTarget(l.Now()+1, p)
