@@ -95,8 +95,8 @@
 //   - The self-scaling benchmark and cliff search: SelfScale*,
 //     CliffSearch (internal/selfscale).
 //   - Table 1 survey data: SurveyTable1 (internal/survey).
-//   - Trace capture and replay: NewTraceRecorder, Replay
-//     (internal/trace).
+//   - Trace capture and replay: NewTraceRecorder, and
+//     Experiment.Trace for replay (internal/trace).
 //
 // Everything runs under virtual time: results are exactly
 // reproducible from (configuration, seed) and host-machine noise
@@ -384,8 +384,6 @@ type (
 	TraceReplay = core.TraceReplay
 	// ReplayMode is the replay timing discipline.
 	ReplayMode = trace.ReplayMode
-	// ReplayResult summarizes a one-shot trace replay.
-	ReplayResult = trace.ReplayResult
 )
 
 // Trace replay disciplines: timed (open loop, faithful to recorded
@@ -410,16 +408,6 @@ func TraceFileSource(path string) TraceSource { return trace.FileSource(path) }
 
 // TraceMemorySource iterates an in-memory trace.
 func TraceMemorySource(t *Trace) TraceSource { return trace.MemorySource(t) }
-
-// ReplayTrace builds a fresh stack from the configuration and replays
-// the whole trace against it from time zero on the event kernel.
-func ReplayTrace(t *Trace, stack StackConfig, seed uint64, mode trace.ReplayMode) (ReplayResult, error) {
-	m, err := stack.Build(sim.NewRNG(seed))
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	return trace.Replay(t, m, 0, mode)
-}
 
 // RecordWorkload runs a workload on a fresh stack for the given
 // duration while recording its operation trace.

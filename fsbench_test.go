@@ -133,11 +133,16 @@ func TestPublicAPITraceRoundTrip(t *testing.T) {
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayTrace(tr, stack, 7, ReplayAFAP)
+	res, err := (&Experiment{
+		Name:  "api-replay",
+		Stack: stack,
+		Trace: &TraceReplay{Tenants: []TraceSource{TraceMemorySource(tr)}, Mode: ReplayAFAP},
+		Seed:  7,
+	}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops == 0 {
+	if res.PerRun[0].Ops == 0 {
 		t.Fatal("replay did nothing")
 	}
 }

@@ -155,40 +155,14 @@ func (c StackConfig) CacheBytesMean() int64 {
 // OS-reserve draw, and the cache policy's randomness; pass a
 // different rng per run.
 func (c StackConfig) Build(rng *sim.RNG) (*vfs.Mount, error) {
-	diskBytes := c.DiskBytes
-	if diskBytes <= 0 {
-		diskBytes = 64 << 30
-	}
-	dev, err := c.buildDevice(diskBytes, rng)
+	// One shard of a shared device is the whole stack: the same RNG
+	// draws (device, cache size, L1 policy, L2 policy) in the same
+	// order, and the whole cache.
+	mounts, err := c.BuildSharedDevice(rng, 1)
 	if err != nil {
 		return nil, err
 	}
-	fsys, err := c.buildFS(diskBytes)
-	if err != nil {
-		return nil, err
-	}
-
-	// Draw this run's available page-cache size.
-	cacheBytes := c.drawCacheBytes(rng)
-	pol, err := cache.NewPolicy(c.CachePolicy, rng.Split())
-	if err != nil {
-		return nil, err
-	}
-	l1 := cache.New(int(cacheBytes/cache.PageSize), pol)
-	var l2 *cache.Cache
-	if c.L2Bytes > 0 {
-		l2pol, err := cache.NewPolicy(c.CachePolicy, rng.Split())
-		if err != nil {
-			return nil, err
-		}
-		l2 = cache.New(int(c.L2Bytes/cache.PageSize), l2pol)
-	}
-
-	vcfg, err := c.vfsConfig()
-	if err != nil {
-		return nil, err
-	}
-	return vfs.New(fsys, dev, cache.NewHierarchy(l1, l2), vcfg), nil
+	return mounts[0], nil
 }
 
 // BuildSharedDevice instantiates the shared-device sharded stack: ONE

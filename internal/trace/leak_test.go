@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -9,10 +10,25 @@ import (
 	"repro/internal/workload"
 )
 
+// reopenFails is a Source whose every Open after the first (the
+// engine's pre-scan) fails.
+type reopenFails struct {
+	Source
+	opens int
+}
+
+func (s *reopenFails) Open() (Iterator, error) {
+	if s.opens++; s.opens > 1 {
+		return nil, errors.New("reopen failed")
+	}
+	return s.Source.Open()
+}
+
 // TestReplayLeavesNoGoroutines checks that every replay proc — stream
 // workers and tenant dispatchers in timed mode, stream runners in AFAP
 // mode — has exited by the time Run returns, including a timed replay
-// whose horizon abandons a backlog.
+// whose horizon abandons a backlog and a replay whose Run fails
+// because a source cannot be reopened.
 func TestReplayLeavesNoGoroutines(t *testing.T) {
 	tr := &Trace{}
 	for i := 0; i < 200; i++ {
@@ -23,18 +39,30 @@ func TestReplayLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 	for _, tc := range []struct {
-		name  string
-		mode  ReplayMode
-		until sim.Time
+		name       string
+		mode       ReplayMode
+		until      sim.Time
+		reopenFail bool
 	}{
-		{"timed", Timed, sim.Second},
-		{"timed-horizon", Timed, 5 * sim.Millisecond},
-		{"afap", AFAP, sim.Second},
+		{"timed", Timed, sim.Second, false},
+		{"timed-horizon", Timed, 5 * sim.Millisecond, false},
+		{"afap", AFAP, sim.Second, false},
+		{"reopen-fails", Timed, sim.Second, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			src := MemorySource(tr)
-			runEngine(t, EngineConfig{Mode: tc.mode, Tenants: []Source{src, src}}, tc.until)
+			if tc.reopenFail {
+				eng, err := NewEngine(testMount(t), EngineConfig{Mode: tc.mode, Tenants: []Source{&reopenFails{Source: src}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Run(0, tc.until); err == nil {
+					t.Fatal("Run succeeded although its source could not be reopened")
+				}
+			} else {
+				runEngine(t, EngineConfig{Mode: tc.mode, Tenants: []Source{src, src}}, tc.until)
+			}
 			deadline := time.Now().Add(2 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)

@@ -64,10 +64,11 @@ func ParseReplayMode(s string) (ReplayMode, error) {
 	return 0, fmt.Errorf("trace: unknown replay mode %q (want timed, afap, or scaled)", s)
 }
 
-// maxOpenFDsDefault caps each stream's open file descriptors like a
-// real process's rlimit; the least recently opened handle is closed
-// when the table is full.
-const maxOpenFDsDefault = 256
+// maxOpenFDs caps each stream's open file descriptors like a real
+// process's rlimit: the least recently opened handle is closed when
+// the table is full, so a replay never holds every file it touched
+// open for its whole length.
+const maxOpenFDs = 256
 
 // EngineConfig describes one replay.
 type EngineConfig struct {
@@ -81,8 +82,6 @@ type EngineConfig struct {
 	// turns any captured trace into a fairness/contention scenario.
 	// One tenant replays the trace as captured.
 	Tenants []Source
-	// MaxOpenFDs caps open descriptors per stream (0 = 256).
-	MaxOpenFDs int
 }
 
 // scale returns the effective time-compression factor.
@@ -102,35 +101,17 @@ type job struct {
 // stream is one replay worker: the records of one captured submission
 // stream execute in order on it, while distinct streams contend on
 // the device queue — the captured concurrency structure, preserved.
+// In timed and scaled modes the tenant's dispatcher feeds it through
+// its backlog, whose memory is bounded by the live backlog, not the
+// record count.
 type stream struct {
 	id      int // captured stream id
 	owner   int // global OwnerID across all tenants
 	tn      *tenant
 	now     sim.Time
 	arrival sim.Time
-	queue   []job // FIFO backlog; qhead avoids reslicing so the array is reused
-	qhead   int
-	idle    bool
-	proc    *sim.Proc
-	fds     map[string]*vfs.FD
-	fdOrder []string // open order: evictions and picks stay deterministic
-}
-
-// pending reports the stream's queued-but-unserved job count.
-func (st *stream) pending() int { return len(st.queue) - st.qhead }
-
-// pop removes and returns the oldest queued job, recycling the
-// backing array when the queue drains — replay memory stays bounded
-// by the live backlog, not the record count.
-func (st *stream) pop() job {
-	j := st.queue[st.qhead]
-	st.queue[st.qhead] = job{} // release the Record's path reference
-	st.qhead++
-	if st.qhead == len(st.queue) {
-		st.queue = st.queue[:0]
-		st.qhead = 0
-	}
-	return j
+	backlog sim.Backlog[job]
+	fds     vfs.FDTable
 }
 
 // tenant is one merged trace with its own namespace and streams.
@@ -140,7 +121,6 @@ type tenant struct {
 	scan    Scan
 	streams []*stream
 	byID    map[int]*stream
-	genDone bool
 }
 
 // Engine replays one or more traces against a mount on the event
@@ -170,9 +150,6 @@ func NewEngine(m *vfs.Mount, cfg EngineConfig) (*Engine, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, errors.New("trace: replay needs at least one tenant source")
 	}
-	if cfg.MaxOpenFDs <= 0 {
-		cfg.MaxOpenFDs = maxOpenFDsDefault
-	}
 	e := &Engine{m: m, cfg: cfg, errHist: &metrics.Histogram{}}
 	owner := 0
 	for k, src := range cfg.Tenants {
@@ -185,10 +162,7 @@ func NewEngine(m *vfs.Mount, cfg EngineConfig) (*Engine, error) {
 			tn.prefix = fmt.Sprintf("/t%d", k)
 		}
 		for _, id := range sc.Streams {
-			st := &stream{
-				id: id, owner: owner, tn: tn,
-				fds: make(map[string]*vfs.FD),
-			}
+			st := &stream{id: id, owner: owner, tn: tn, fds: vfs.NewFDTable(maxOpenFDs)}
 			owner++
 			tn.streams = append(tn.streams, st)
 			tn.byID[id] = st
@@ -255,7 +229,9 @@ func (e *Engine) Setup(at sim.Time) (sim.Time, error) {
 	now := at
 	for _, tn := range e.tenants {
 		for _, dir := range tn.scan.Dirs {
-			now = e.mkdirAll(now, tn.prefix+dir)
+			// A directory that cannot be made is not fatal: the ops
+			// under it fail, and replay accounts their errors.
+			now, _ = e.m.MkdirAll(now, tn.prefix+dir)
 		}
 		paths := make([]string, 0, len(tn.scan.Extents))
 		for p := range tn.scan.Extents {
@@ -284,12 +260,7 @@ func (e *Engine) Setup(at sim.Time) (sim.Time, error) {
 }
 
 // DropCaches empties the page cache (cold-start replay).
-func (e *Engine) DropCaches() {
-	e.m.PC.L1.Flush()
-	if e.m.PC.L2 != nil {
-		e.m.PC.L2.Flush()
-	}
-}
+func (e *Engine) DropCaches() { e.m.DropCaches() }
 
 // Run replays from virtual time `from` until the trace is exhausted
 // or the horizon `until` passes: dispatchers stop offering records
@@ -299,101 +270,65 @@ func (e *Engine) DropCaches() {
 // per stream plus one dispatcher per tenant in timed/scaled modes —
 // so results are bit-identical at any host parallelism.
 func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
+	// Iterators open before the run enters event mode, so an open
+	// error returns before any process, the write-back daemon
+	// included, exists. AFAP gives each stream its own filtered
+	// iterator, timed/scaled one shared iterator per tenant dispatcher.
+	open := e.cfg.Mode != AFAP
+	var iters []Iterator
+	closeIters := func() {
+		for _, it := range iters {
+			it.Close()
+		}
+	}
+	for _, tn := range e.tenants {
+		n := len(tn.streams)
+		if open {
+			n = 1
+		}
+		for i := 0; i < n; i++ {
+			it, err := tn.src.Open()
+			if err != nil {
+				closeIters()
+				return from, err
+			}
+			iters = append(iters, it)
+		}
+	}
+	defer closeIters()
 	loop := sim.NewEventLoop(from)
 	if err := e.m.BeginEvents(loop); err != nil {
 		return from, err
 	}
 	e.runErr = nil
-	open := e.cfg.Mode != AFAP
 	procs := e.workers
 	if open {
 		procs += len(e.tenants)
 	}
 	loop.Reserve(procs + 16)
-	remaining := procs
-	if remaining == 0 {
-		e.m.StopWriteback()
-	}
-	finish := func() {
-		if remaining--; remaining == 0 {
-			e.m.StopWriteback()
-		}
-	}
-	// Iterators open before the loop runs so open errors are
-	// synchronous; afap gives each stream its own filtered iterator,
-	// timed/scaled one shared iterator per tenant dispatcher.
-	var iters []Iterator
-	fail := func(err error) (sim.Time, error) {
-		for _, it := range iters {
-			it.Close()
-		}
-		e.m.EndEvents()
-		e.m.StopWriteback()
-		return from, err
-	}
-	type afapStart struct {
-		st *stream
-		it Iterator
-	}
-	var afapStarts []afapStart
-	type dispatchStart struct {
-		tn *tenant
-		it Iterator
-	}
-	var dispatchStarts []dispatchStart
-	for _, tn := range e.tenants {
-		if open {
-			it, err := tn.src.Open()
-			if err != nil {
-				return fail(err)
-			}
-			iters = append(iters, it)
-			dispatchStarts = append(dispatchStarts, dispatchStart{tn, it})
-			continue
-		}
-		for _, st := range tn.streams {
-			it, err := tn.src.Open()
-			if err != nil {
-				return fail(err)
-			}
-			iters = append(iters, it)
-			afapStarts = append(afapStarts, afapStart{st, it})
-		}
-	}
 	// Workers spawn before dispatchers so every stream is parked on
-	// its queue before the first arrival fires.
+	// its backlog before the first arrival fires.
+	next := 0
 	for _, tn := range e.tenants {
 		for _, st := range tn.streams {
 			st.now = from
 			if open {
-				st := st
-				loop.Go(from, func(p *sim.Proc) {
-					defer finish()
-					st.proc = p
-					e.streamWorker(p, st, until)
-				})
+				e.m.Go(func(p *sim.Proc) { e.streamWorker(p, st, until) })
+				continue
 			}
+			it := iters[next]
+			next++
+			e.m.Go(func(p *sim.Proc) { e.afapWorker(p, st, it, until) })
 		}
 	}
-	for _, as := range afapStarts {
-		as := as
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			e.afapWorker(p, as.st, as.it, until)
-		})
-	}
-	for _, ds := range dispatchStarts {
-		ds := ds
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			e.dispatch(p, ds.tn, ds.it, from, until)
-		})
+	if open {
+		for k, tn := range e.tenants {
+			it := iters[k]
+			e.m.Go(func(p *sim.Proc) { e.dispatch(p, tn, it, from, until) })
+		}
 	}
 	loop.Run()
 	e.m.EndEvents()
-	for _, it := range iters {
-		it.Close()
-	}
 	var end sim.Time
 	for _, tn := range e.tenants {
 		for _, st := range tn.streams {
@@ -412,12 +347,8 @@ func (e *Engine) Run(from, until sim.Time) (sim.Time, error) {
 // recording regardless of how the replayed system keeps up.
 func (e *Engine) dispatch(p *sim.Proc, tn *tenant, it Iterator, from, until sim.Time) {
 	defer func() {
-		tn.genDone = true
 		for _, st := range tn.streams {
-			if st.idle {
-				st.idle = false
-				st.proc.Unpark()
-			}
+			st.backlog.Close()
 		}
 	}()
 	scale := e.cfg.scale()
@@ -443,44 +374,27 @@ func (e *Engine) dispatch(p *sim.Proc, tn *tenant, it Iterator, from, until sim.
 			return
 		}
 		e.load.Arrive()
-		st.queue = append(st.queue, job{rec: rec, at: sched})
-		if st.idle {
-			// Direct baton handoff, as in the workload engine's open
-			// loop: deterministic under the one-baton discipline.
-			st.idle = false
-			st.proc.Unpark()
-		}
+		st.backlog.Push(job{rec: rec, at: sched})
 	}
 }
 
 // streamWorker executes one stream's dispatched records in order
-// (timed/scaled modes), parking when its queue drains. Latency is
+// (timed/scaled modes), parking when its backlog drains. Latency is
 // measured from the record's scheduled arrival, so time spent queued
 // behind a slow device is part of the recorded latency — the open-
 // loop signature.
 func (e *Engine) streamWorker(p *sim.Proc, st *stream, until sim.Time) {
 	for e.runErr == nil {
-		if st.pending() == 0 {
-			if st.tn.genDone {
-				return
-			}
-			// Realign with the global clock before parking so the
-			// wake-up cannot rewind this worker's local clock.
-			p.WaitUntil(st.now)
-			if st.pending() == 0 && !st.tn.genDone {
-				st.idle = true
-				if t := p.Park(); t > st.now {
-					st.now = t
-				}
-			}
-			continue
+		var ok bool
+		if st.now, ok = st.backlog.Wait(p, st.now); !ok || e.runErr != nil {
+			return
 		}
 		if st.now >= until {
 			// Abandon the backlog: the load gauge reports it as
 			// offered minus completed.
 			return
 		}
-		j := st.pop()
+		j := st.backlog.Pop()
 		if j.at > st.now {
 			st.now = j.at
 		}
@@ -532,65 +446,19 @@ func (e *Engine) afapWorker(p *sim.Proc, st *stream, it Iterator, until sim.Time
 
 // ensureParents recreates missing parent directories: traces
 // reference a namespace that existed on the traced system, not on
-// this one.
+// this one. A directory that cannot be made is not fatal: the op that
+// needs it fails and is accounted as an error.
 func (e *Engine) ensureParents(at sim.Time, path string) sim.Time {
 	if i := strings.LastIndexByte(path, '/'); i > 0 {
-		return e.mkdirAll(at, path[:i])
+		at, _ = e.m.MkdirAll(at, path[:i])
 	}
 	return at
-}
-
-// mkdirAll is mkdir -p: every missing component, leaf included.
-func (e *Engine) mkdirAll(at sim.Time, path string) sim.Time {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	prefix := ""
-	for _, part := range parts {
-		if part == "" {
-			continue
-		}
-		prefix += "/" + part
-		if done, err := e.m.Mkdir(at, prefix); err == nil {
-			at = done
-		}
-	}
-	return at
-}
-
-// trackFD registers an open handle, evicting the least recently
-// opened one when the stream is at its descriptor cap — the bound a
-// real process's rlimit imposes, and the fix for the old replayer
-// holding every file it ever touched open for the whole replay.
-func (e *Engine) trackFD(st *stream, path string, fd *vfs.FD) {
-	st.fds[path] = fd
-	st.fdOrder = append(st.fdOrder, path)
-	if len(st.fdOrder) > e.cfg.MaxOpenFDs {
-		victim := st.fdOrder[0]
-		st.fdOrder = st.fdOrder[1:]
-		if vfd, ok := st.fds[victim]; ok {
-			e.m.Close(vfd)
-			delete(st.fds, victim)
-		}
-	}
-}
-
-// dropFD forgets (without closing) the stream's handle for path.
-func (st *stream) dropFD(path string) {
-	if _, ok := st.fds[path]; !ok {
-		return
-	}
-	delete(st.fds, path)
-	for i, p := range st.fdOrder {
-		if p == path {
-			st.fdOrder = append(st.fdOrder[:i], st.fdOrder[i+1:]...)
-			break
-		}
-	}
 }
 
 // openOrCreate returns the stream's handle for path, opening or (for
 // paths that predate the capture) creating it on first touch.
 func (e *Engine) openOrCreate(st *stream, at sim.Time, path string) (*vfs.FD, sim.Time, error) {
-	if fd, ok := st.fds[path]; ok {
+	if fd, ok := st.fds.Get(path); ok {
 		return fd, at, nil
 	}
 	fd, done, err := e.m.Open(at, path)
@@ -601,7 +469,7 @@ func (e *Engine) openOrCreate(st *stream, at sim.Time, path string) (*vfs.FD, si
 	if err != nil {
 		return nil, at, err
 	}
-	e.trackFD(st, path, fd)
+	st.fds.Add(path, fd)
 	return fd, done, nil
 }
 
@@ -636,23 +504,20 @@ func (e *Engine) exec(st *stream, rec Record) error {
 		var fd *vfs.FD
 		fd, done, err = e.m.Create(issue, path)
 		if err == nil {
-			e.trackFD(st, path, fd)
+			st.fds.Add(path, fd)
 		}
 	case workload.OpDelete:
 		// Every stream in the tenant must release its handle: the
 		// file is gone for the whole namespace, and the old replayer's
 		// silent map-drop leaked the descriptor.
 		for _, s := range st.tn.streams {
-			if fd, ok := s.fds[path]; ok {
-				e.m.Close(fd)
-				s.dropFD(path)
-			}
+			s.fds.Close(path)
 		}
 		done, err = e.m.Unlink(issue, path)
 	case workload.OpStat:
 		_, done, err = e.m.Stat(issue, path)
 	case workload.OpFsync:
-		fd, ok := st.fds[path]
+		fd, ok := st.fds.Get(path)
 		if !ok {
 			fd, issue, err = e.openOrCreate(st, issue, path)
 		}
@@ -671,10 +536,7 @@ func (e *Engine) exec(st *stream, rec Record) error {
 	case workload.OpClose:
 		// Honor the capture: close the named handle if the stream
 		// holds it (the old replayer ignored Close entirely).
-		if fd, ok := st.fds[path]; ok {
-			e.m.Close(fd)
-			st.dropFD(path)
-		}
+		st.fds.Close(path)
 		done = issue
 	case workload.OpThink:
 		done = issue
@@ -702,66 +564,4 @@ func (e *Engine) exec(st *stream, rec Record) error {
 	e.probe.Observe(st.owner, rec.Kind, path, rec.Offset, moved, st.arrival, done)
 	st.now = done
 	return nil
-}
-
-// --- one-shot replay ---------------------------------------------------
-
-// ReplayResult summarizes a one-shot replay.
-type ReplayResult struct {
-	Ops    int64
-	Errors int64
-	Start  sim.Time
-	End    sim.Time
-	Hist   *metrics.Histogram
-	// ErrHist is the arrival-to-failure latency of errored ops.
-	ErrHist *metrics.Histogram
-	// PerOwner is the per-stream service split (owner = stream index).
-	PerOwner *metrics.PerOwner
-	// Load is the offered/completed gauge (zero-valued under AFAP).
-	Load metrics.LoadGauge
-	// MaxLag is the worst queueing delay behind the recorded schedule
-	// (timed/scaled modes) — how far the replayed system fell behind
-	// the traced one.
-	MaxLag sim.Time
-}
-
-// Throughput reports replayed ops/sec.
-func (r ReplayResult) Throughput() float64 {
-	d := (r.End - r.Start).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / d
-}
-
-// replayHorizon is "no horizon": far enough out that any replay
-// exhausts its trace first.
-const replayHorizon = sim.Time(1) << 62
-
-// Replay runs the whole trace against m starting at virtual time
-// start, on the event kernel, with no horizon — every record is
-// offered and serviced. The namespace the capture assumed is
-// reconstructed first (Engine.Setup); replay begins when it is built.
-func Replay(t *Trace, m *vfs.Mount, start sim.Time, mode ReplayMode) (ReplayResult, error) {
-	eng, err := NewEngine(m, EngineConfig{Mode: mode, Tenants: []Source{MemorySource(t)}})
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	start, err = eng.Setup(start)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	res := ReplayResult{Start: start, Hist: &metrics.Histogram{}, PerOwner: &metrics.PerOwner{}}
-	eng.SetProbe(&workload.Probe{Hist: res.Hist, PerOwner: res.PerOwner})
-	end, err := eng.Run(start, replayHorizon)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	res.End = end
-	res.Ops = eng.Counter().Ops
-	res.Errors = eng.Counter().Errors
-	res.ErrHist = eng.ErrorHist()
-	res.Load = eng.Load()
-	res.MaxLag = eng.MaxLag()
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/metrics"
@@ -8,24 +9,41 @@ import (
 	"repro/internal/workload"
 )
 
-func runEngine(t *testing.T, cfg EngineConfig, until sim.Time) (*Engine, *metrics.Histogram, *metrics.PerOwner) {
+// noHorizon lets a replay run until its trace is exhausted.
+const noHorizon = sim.Time(3600) * sim.Second
+
+// replayRun is one replay's engine, what its probe recorded, and the
+// virtual interval it ran over.
+type replayRun struct {
+	eng        *Engine
+	hist       *metrics.Histogram
+	per        *metrics.PerOwner
+	start, end sim.Time
+}
+
+// throughput reports replayed ops per virtual second.
+func (r replayRun) throughput() float64 {
+	return float64(r.eng.Counter().Ops) / (r.end - r.start).Seconds()
+}
+
+// runEngine sets up and runs one replay on a fresh test mount, for
+// until past the end of setup.
+func runEngine(t *testing.T, cfg EngineConfig, until sim.Time) replayRun {
 	t.Helper()
 	m := testMount(t)
 	eng, err := NewEngine(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := &metrics.Histogram{}
-	per := &metrics.PerOwner{}
-	eng.SetProbe(&workload.Probe{Hist: hist, PerOwner: per})
-	start, err := eng.Setup(0)
-	if err != nil {
+	r := replayRun{eng: eng, hist: &metrics.Histogram{}, per: &metrics.PerOwner{}}
+	eng.SetProbe(&workload.Probe{Hist: r.hist, PerOwner: r.per})
+	if r.start, err = eng.Setup(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(start, start+until); err != nil {
+	if r.end, err = eng.Run(r.start, r.start+until); err != nil {
 		t.Fatal(err)
 	}
-	return eng, hist, per
+	return r
 }
 
 // TestEngineDeterministic replays the same capture twice on fresh
@@ -49,18 +67,15 @@ func TestEngineDeterministic(t *testing.T) {
 	tr := rec.Trace()
 
 	run := func() (metrics.Counter, string) {
-		fresh := testMount(t)
-		res, err := Replay(tr, fresh, 0, Timed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon)
 		fp := ""
 		for i := 0; i < metrics.NumBuckets; i++ {
-			if c := res.Hist.BucketCount(i); c != 0 {
+			if c := r.hist.BucketCount(i); c != 0 {
 				fp += string(rune('a'+i%26)) + ":" + string(rune('0'+c%10)) + " "
 			}
 		}
-		return metrics.Counter{Ops: res.Ops, Errors: res.Errors}, fp
+		c := r.eng.Counter()
+		return metrics.Counter{Ops: c.Ops, Errors: c.Errors}, fp
 	}
 	c1, h1 := run()
 	c2, h2 := run()
@@ -70,25 +85,23 @@ func TestEngineDeterministic(t *testing.T) {
 }
 
 // TestReplayFDCap bounds the per-stream descriptor table the way a
-// process rlimit would: touching many more files than the cap must
-// leave at most MaxOpenFDs handles open.
+// process rlimit would: one stream opening many more distinct files
+// than the cap keeps exactly maxOpenFDs handles, the newest ones.
 func TestReplayFDCap(t *testing.T) {
+	const files = maxOpenFDs + 44
 	tr := &Trace{}
-	for i := 0; i < 32; i++ {
+	for i := 0; i < files; i++ {
 		tr.Records = append(tr.Records, Record{
-			At: sim.Time(i) * 1000, Kind: workload.OpOpen,
-			Path: "/f" + string(rune('a'+i%26)) + string(rune('a'+i/26)),
+			At: sim.Time(i) * 1000, Kind: workload.OpOpen, Path: fmt.Sprintf("/f%03d", i),
 		})
 	}
-	eng, _, _ := runEngine(t, EngineConfig{
-		Mode: Timed, Tenants: []Source{MemorySource(tr)}, MaxOpenFDs: 4,
-	}, sim.Time(3600)*sim.Second)
-	st := eng.tenants[0].streams[0]
-	if len(st.fds) > 4 {
-		t.Errorf("stream holds %d open FDs, cap is 4", len(st.fds))
+	r := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon)
+	st := r.eng.tenants[0].streams[0]
+	if got := st.fds.Len(); got != maxOpenFDs {
+		t.Errorf("stream holds %d open FDs, cap is %d", got, maxOpenFDs)
 	}
-	if len(st.fds) != len(st.fdOrder) {
-		t.Errorf("fd map (%d) and order (%d) out of sync", len(st.fds), len(st.fdOrder))
+	if oldest, _ := st.fds.Oldest(); oldest != fmt.Sprintf("/f%03d", files-maxOpenFDs) {
+		t.Errorf("oldest open FD is %q: the cap must close the least recently opened", oldest)
 	}
 }
 
@@ -103,12 +116,10 @@ func TestReplayCloseAndDeleteReleaseFDs(t *testing.T) {
 		{At: 200, Kind: workload.OpClose, Path: "/a"},
 		{At: 300, Kind: workload.OpDelete, Path: "/b"},
 	}}
-	eng, _, _ := runEngine(t, EngineConfig{
-		Mode: Timed, Tenants: []Source{MemorySource(tr)},
-	}, sim.Time(3600)*sim.Second)
+	eng := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon).eng
 	st := eng.tenants[0].streams[0]
-	if len(st.fds) != 0 {
-		t.Errorf("stream still holds %d FDs after close+delete", len(st.fds))
+	if st.fds.Len() != 0 {
+		t.Errorf("stream still holds %d FDs after close+delete", st.fds.Len())
 	}
 	if eng.Counter().Errors != 0 {
 		t.Errorf("lifecycle ops errored: %d", eng.Counter().Errors)
@@ -123,9 +134,8 @@ func TestReplayErrorAccounting(t *testing.T) {
 		{At: 0, Kind: workload.OpDelete, Path: "/a"},
 		{At: 1000, Kind: workload.OpStat, Path: "/a"},
 	}}
-	eng, hist, _ := runEngine(t, EngineConfig{
-		Mode: Timed, Tenants: []Source{MemorySource(tr)},
-	}, sim.Time(3600)*sim.Second)
+	r := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon)
+	eng, hist := r.eng, r.hist
 	if got := eng.Counter().Errors; got != 1 {
 		t.Fatalf("errors = %d, want 1 (stat of deleted path)", got)
 	}
@@ -147,9 +157,7 @@ func TestReplayNamespaceReconstruction(t *testing.T) {
 	tr := &Trace{Records: []Record{
 		{At: 0, Kind: workload.OpReadRand, Path: "/data/f", Offset: 1 << 20, Size: 4096},
 	}}
-	eng, _, _ := runEngine(t, EngineConfig{
-		Mode: Timed, Tenants: []Source{MemorySource(tr)},
-	}, sim.Time(3600)*sim.Second)
+	eng := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon).eng
 	if eng.Counter().Errors != 0 {
 		t.Fatalf("read of pre-existing file errored")
 	}
@@ -168,9 +176,7 @@ func TestReplayHorizonAbandonsBacklog(t *testing.T) {
 			Path: "/big", Offset: int64(i) * 997 * 4096, Size: 4096,
 		})
 	}
-	eng, _, _ := runEngine(t, EngineConfig{
-		Mode: Timed, Tenants: []Source{MemorySource(tr)},
-	}, 10*sim.Millisecond)
+	eng := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, 10*sim.Millisecond).eng
 	load := eng.Load()
 	if load.Offered == 0 {
 		t.Fatal("timed replay never touched the load gauge")
@@ -190,9 +196,8 @@ func TestMultiTenantMerge(t *testing.T) {
 		{At: 2000, Kind: workload.OpReadRand, Path: "/a", Size: 4096, Stream: 1},
 	}}
 	src := MemorySource(tr)
-	eng, _, per := runEngine(t, EngineConfig{
-		Mode: Timed, Tenants: []Source{src, src, src},
-	}, sim.Time(3600)*sim.Second)
+	r := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{src, src, src}}, noHorizon)
+	eng, per := r.eng, r.per
 	if got := eng.Workers(); got != 6 {
 		t.Fatalf("workers = %d, want 6 (2 streams x 3 tenants)", got)
 	}

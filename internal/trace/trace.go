@@ -7,18 +7,13 @@
 // available"). This package makes traces a first-class artifact: a
 // compact streaming binary format (FSBT v2) that carries requester
 // identity and scales to millions of records without materializing
-// them, a human-readable text format, and an event-kernel replay
-// engine with selectable timing disciplines (timed / afap / scaled)
-// and multi-tenant merge.
+// them, and an event-kernel replay engine with selectable timing
+// disciplines (timed / afap / scaled) and multi-tenant merge.
 package trace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -143,71 +138,4 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		}
 		t.Records = append(t.Records, rec)
 	}
-}
-
-// --- text codec --------------------------------------------------------
-
-// WriteText encodes one record per line:
-// "at_ns kind path offset size owner stream".
-func (t *Trace) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, rec := range t.Records {
-		if _, err := fmt.Fprintf(bw, "%d %s %s %d %d %d %d\n",
-			int64(rec.At), rec.Kind, rec.Path, rec.Offset, rec.Size,
-			rec.Owner, rec.Stream); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText parses the text format. Five-field lines (the pre-identity
-// format) are accepted with owner and stream zero.
-func ReadText(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 5 && len(fields) != 7 {
-			return nil, fmt.Errorf("trace line %d: want 5 or 7 fields, got %d", lineno, len(fields))
-		}
-		at, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		kind, err := workload.ParseOpKind(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		off, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		size, err := strconv.ParseInt(fields[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-		}
-		rec := Record{
-			At: sim.Time(at), Kind: kind, Path: fields[2], Offset: off, Size: size,
-		}
-		if len(fields) == 7 {
-			owner, err := strconv.Atoi(fields[5])
-			if err != nil {
-				return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-			}
-			stream, err := strconv.Atoi(fields[6])
-			if err != nil {
-				return nil, fmt.Errorf("trace line %d: %v", lineno, err)
-			}
-			rec.Owner, rec.Stream = owner, stream
-		}
-		t.Records = append(t.Records, rec)
-	}
-	return t, sc.Err()
 }

@@ -19,7 +19,6 @@ func TestSubmitAsyncAllocPinned(t *testing.T) {
 	if err := m.BeginEvents(loop); err != nil {
 		t.Fatal(err)
 	}
-	m.StopWriteback()
 	loop.Reserve(64)
 	req := device.Request{Op: device.Write, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}
 	// Warm the pool, the scheduler window, and the per-owner stats map.
@@ -50,7 +49,6 @@ func TestMountWakeAllocFree(t *testing.T) {
 	if err := m.BeginEvents(loop); err != nil {
 		t.Fatal(err)
 	}
-	m.StopWriteback()
 	loop.Reserve(16)
 	allocs := testing.AllocsPerRun(200, func() {
 		loop.ScheduleTarget(loop.Now()+1, m)
@@ -70,7 +68,6 @@ func BenchmarkSubmitAsyncAlloc(b *testing.B) {
 	if err := m.BeginEvents(loop); err != nil {
 		b.Fatal(err)
 	}
-	m.StopWriteback()
 	loop.Reserve(64)
 	req := device.Request{Op: device.Write, LBA: 4096, Sectors: 8, Owner: device.OwnerNone}
 	b.ReportAllocs()

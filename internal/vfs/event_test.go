@@ -23,12 +23,10 @@ func TestEventModeBlockingRead(t *testing.T) {
 	if err := m.BeginEvents(loop); err != nil {
 		t.Fatal(err)
 	}
-	// Direct BeginEvents users must release the write-back daemon
-	// themselves, or its periodic wake-up keeps the loop alive forever
-	// (the engine does this when its last thread finishes).
-	m.StopWriteback()
+	// Processes spawned through the mount let the write-back daemon
+	// exit once they have all finished, so the loop drains.
 	var solo sim.Time
-	loop.Go(0, func(p *sim.Proc) {
+	m.Go(func(p *sim.Proc) {
 		m.SetProc(p, 1)
 		_, done, err := m.Read(p.Now(), fd, 0, 4096)
 		if err != nil {
@@ -49,12 +47,11 @@ func TestEventModeBlockingRead(t *testing.T) {
 	if err := m.BeginEvents(loop); err != nil {
 		t.Fatal(err)
 	}
-	m.StopWriteback()
 	var dones []sim.Time
 	for i := 0; i < 2; i++ {
 		off := int64(i) * 512 << 10
 		owner := i + 1
-		loop.Go(0, func(p *sim.Proc) {
+		m.Go(func(p *sim.Proc) {
 			m.SetProc(p, owner)
 			_, done, err := m.Read(p.Now(), fd, off, 4096)
 			if err != nil {
@@ -125,13 +122,12 @@ func TestEventModeOwnerSurvivesPark(t *testing.T) {
 	if err := m.BeginEvents(loop); err != nil {
 		t.Fatal(err)
 	}
-	m.StopWriteback()
 	// Two interleaved multi-page cold reads: each proc parks once per
 	// page, so the mount is rebound many times mid-operation.
 	for i := 0; i < 2; i++ {
 		owner := i + 1
 		off := int64(i) * 512 << 10
-		loop.Go(0, func(p *sim.Proc) {
+		m.Go(func(p *sim.Proc) {
 			m.SetProc(p, owner)
 			now := p.Now()
 			for pg := 0; pg < 4; pg++ {

@@ -1,7 +1,9 @@
 package vfs
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/device"
@@ -80,6 +82,29 @@ func (m *Mount) Mkdir(at sim.Time, path string) (sim.Time, error) {
 	}
 	m.dcache["/"+trimSlashes(path)] = ino
 	return m.execSteps(now, steps, false)
+}
+
+// MkdirAll is mkdir -p: it makes each component of path in turn, leaf
+// included. A failed Mkdir does not advance the clock. Every component
+// is attempted even after one fails, and the first error other than
+// fs.ErrExist is returned.
+func (m *Mount) MkdirAll(at sim.Time, path string) (sim.Time, error) {
+	var first error
+	prefix := ""
+	for _, part := range strings.Split(trimSlashes(path), "/") {
+		if part == "" {
+			continue
+		}
+		prefix += "/" + part
+		done, err := m.Mkdir(at, prefix)
+		switch {
+		case err == nil:
+			at = done
+		case first == nil && !errors.Is(err, fs.ErrExist):
+			first = err
+		}
+	}
+	return at, first
 }
 
 // Unlink removes a file or empty directory.

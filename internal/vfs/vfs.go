@@ -151,13 +151,14 @@ type Mount struct {
 	// restored alongside cur at every yield point: while a process is
 	// parked, another thread's SetProc rebinds both.
 	curOwner int
-	// flusherStop tells the write-back daemon to exit at its next
-	// wake, letting the event loop drain after the workload finishes.
-	flusherStop bool
-	// dirtyWaiters are processes parked on dirty/write-back state —
-	// throttled writers, SyncAll, Fsync — in park order. Every
-	// write-back completion wakes them once each to re-check.
-	dirtyWaiters []*sim.Proc
+	// procs counts the live processes spawned through Go. The
+	// write-back daemon exits at the first wake where none is alive,
+	// so the event loop drains once the run's last process finishes.
+	procs int
+	// dirtyWait holds processes parked on dirty/write-back state —
+	// throttled writers, SyncAll, Fsync. Every write-back completion
+	// wakes them all once to re-check.
+	dirtyWait sim.WaitList
 }
 
 // New mounts filesystem fsys on dev behind the cache hierarchy pc.
@@ -208,6 +209,15 @@ func (m *Mount) ResetStats() {
 	m.Dev.ResetStats()
 }
 
+// DropCaches empties the page-cache hierarchy: the cold-start
+// condition of the paper's Figure 2 experiment.
+func (m *Mount) DropCaches() {
+	m.PC.L1.Flush()
+	if m.PC.L2 != nil {
+		m.PC.L2.Flush()
+	}
+}
+
 // Readahead exposes the active readahead policy.
 func (m *Mount) Readahead() cache.Readahead { return m.ra }
 
@@ -226,8 +236,9 @@ type Submitter interface {
 // device.Queue (sized by Config.QueueDepth, drained by
 // Config.Scheduler) is placed in front of the device, the write-back
 // daemon starts as a simulated process, and subsequent operations
-// must run inside processes registered with SetProc. The workload
-// engine calls this at the start of every measured run.
+// must run inside processes spawned with Go and registered with
+// SetProc. The workload and replay engines call this at the start of
+// every measured run.
 func (m *Mount) BeginEvents(loop *sim.EventLoop) error {
 	sched, err := device.NewScheduler(m.cfg.Scheduler)
 	if err != nil {
@@ -252,8 +263,21 @@ func (m *Mount) BeginEventsBridged(loop *sim.EventLoop, sub Submitter) {
 func (m *Mount) beginEvents(loop *sim.EventLoop, sub Submitter) {
 	m.loop = loop
 	m.sub = sub
-	m.flusherStop = false
+	m.procs = 0
 	loop.Go(loop.Now(), m.flusherMain)
+}
+
+// Go spawns body as a process of the current run, at the loop's
+// current time. The mount counts the processes spawned through it:
+// once none is alive, the write-back daemon exits at its next wake
+// and the event loop can drain. Pages still dirty then stay dirty (a
+// caller wanting durability runs SyncAll afterwards).
+func (m *Mount) Go(body func(p *sim.Proc)) {
+	m.procs++
+	m.loop.Go(m.loop.Now(), func(p *sim.Proc) {
+		defer func() { m.procs-- }()
+		body(p)
+	})
 }
 
 // NewQueue builds a device queue per this mount's configuration
@@ -279,8 +303,7 @@ func (m *Mount) EndEvents() device.QueueStats {
 	m.loop, m.queue, m.cur = nil, nil, nil
 	m.sub = nil
 	m.curOwner = device.OwnerNone
-	m.flusherStop = true
-	m.dirtyWaiters = nil
+	m.dirtyWait = sim.WaitList{}
 	return stats
 }
 
@@ -293,12 +316,6 @@ func (m *Mount) Queue() *device.Queue { return m.queue }
 // regains the baton.
 func (m *Mount) SetProc(p *sim.Proc, owner int) { m.cur, m.curOwner = p, owner }
 
-// StopWriteback tells the write-back daemon to exit at its next wake.
-// The engine calls it when the last workload thread finishes so the
-// event loop can drain; pages still dirty stay dirty (a caller
-// wanting durability runs SyncAll afterwards).
-func (m *Mount) StopWriteback() { m.flusherStop = true }
-
 // --- Write-back daemon and dirty throttling --------------------------
 
 // flusherMain is the write-back daemon: the pdflush of this stack. It
@@ -309,17 +326,18 @@ func (m *Mount) StopWriteback() { m.flusherStop = true }
 // write-back state until their completion events fire — only then do
 // they become clean — so the daemon genuinely competes with workload
 // threads for the device instead of flushing for free at op
-// boundaries.
+// boundaries. It runs until a wake finds no process spawned through
+// Go alive.
 func (m *Mount) flusherMain(p *sim.Proc) {
 	for {
 		p.Sleep(m.cfg.WritebackInterval)
-		if m.flusherStop || m.sub == nil {
+		if m.procs == 0 || m.sub == nil {
 			return
 		}
 		m.flusherRound(p.Now())
 		// Unmappable pages are cleaned without a completion event;
 		// give anyone parked on dirty state a chance to re-check.
-		m.wakeDirtyWaiters()
+		m.dirtyWait.WakeAll()
 	}
 }
 
@@ -380,24 +398,7 @@ func (m *Mount) flushBatch(at sim.Time) int {
 // conditions.
 func (m *Mount) endWriteback(id cache.PageID, gen uint64) {
 	m.PC.L1.EndWriteback(id, gen)
-	m.wakeDirtyWaiters()
-}
-
-// wakeDirtyWaiters unparks, in park order, every process waiting on
-// dirty/write-back state. Each woken process runs to its next park
-// before the next is woken (one-baton discipline) and re-parks itself
-// — onto the fresh list, to be woken at the next completion — if its
-// condition still holds, so the wake order and the whole simulation
-// stay deterministic.
-func (m *Mount) wakeDirtyWaiters() {
-	if len(m.dirtyWaiters) == 0 {
-		return
-	}
-	ws := m.dirtyWaiters
-	m.dirtyWaiters = nil
-	for _, p := range ws {
-		p.Unpark()
-	}
+	m.dirtyWait.WakeAll()
 }
 
 // dirtyHighPages is the throttling high-water mark in pages.
@@ -440,8 +441,7 @@ func (m *Mount) balanceDirty(at sim.Time) sim.Time {
 	m.cur, m.curOwner = p, owner
 	m.stats.ThrottleStalls++
 	for l1.DirtyCount()+l1.WritebackCount() >= high {
-		m.dirtyWaiters = append(m.dirtyWaiters, p)
-		p.Park()
+		m.dirtyWait.Park(p)
 		m.cur, m.curOwner = p, owner
 	}
 	return p.Now()
@@ -460,8 +460,7 @@ func (m *Mount) waitWriteback(at sim.Time) sim.Time {
 	p.WaitUntil(at)
 	m.cur, m.curOwner = p, owner
 	for m.PC.L1.WritebackCount() > 0 {
-		m.dirtyWaiters = append(m.dirtyWaiters, p)
-		p.Park()
+		m.dirtyWait.Park(p)
 		m.cur, m.curOwner = p, owner
 	}
 	return p.Now()
@@ -814,7 +813,7 @@ func (m *Mount) flushSync(at sim.Time, ids []cache.PageID) (sim.Time, error) {
 
 // RunEvent implements sim.EventTarget for flushSync's scheduled
 // wake-up of the dirty-wait list.
-func (m *Mount) RunEvent() { m.wakeDirtyWaiters() }
+func (m *Mount) RunEvent() { m.dirtyWait.WakeAll() }
 
 // SyncAll flushes every dirty page and the file-system journal,
 // returning when the device is quiet. Benchmarks call it between

@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/device"
-	"repro/internal/fs"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -96,8 +93,7 @@ type threadState struct {
 	opIdx   int
 	iter    int
 	cursors map[string]int64 // sequential-read cursors per fileset
-	fds     map[string]*vfs.FD
-	fdOrder []string // open order, so fd picks are deterministic
+	fds     vfs.FDTable      // uncapped
 	rng     *sim.RNG
 
 	// Open-loop worker state: the class this worker serves (nil for
@@ -121,20 +117,17 @@ func (th *threadState) curMap() map[string]int64 {
 }
 
 // classState is one open-loop thread class's shared state: the
-// arrival backlog its generator fills, the idle workers waiting for
-// it (in park order, so wake-ups are deterministic), and the class's
-// flowop cursor — in an open loop the *sequence* of op instances
-// belongs to the class, not to any one worker. Sequential-I/O cursors
-// live here too, for the same reason: instances of one logical stream
-// land on whichever worker is free, and per-worker cursors would
-// re-read the same offsets from every worker. (Baton serialization
-// makes the shared maps safe, §4.2.)
+// arrival backlog its generator fills and its idle workers park on,
+// and the class's flowop cursor — in an open loop the *sequence* of
+// op instances belongs to the class, not to any one worker.
+// Sequential-I/O cursors live here too, for the same reason: instances
+// of one logical stream land on whichever worker is free, and
+// per-worker cursors would re-read the same offsets from every worker.
+// (Baton serialization makes the shared maps safe, §4.2.)
 type classState struct {
 	spec    *ThreadSpec
-	rng     *sim.RNG    // arrival-time draws
-	queue   []arrival   // generated, not yet picked up (FIFO)
-	idle    []*sim.Proc // workers parked waiting for arrivals (FIFO)
-	genDone bool
+	rng     *sim.RNG // arrival-time draws
+	backlog sim.Backlog[arrival]
 	opIdx   int
 	iter    int
 	cursors map[string]int64 // class-owned sequential cursors
@@ -170,29 +163,6 @@ func advanceFlowop(spec *ThreadSpec, opIdx, iter *int) Flowop {
 		}
 	}
 	return op
-}
-
-// dropFD forgets the thread's handle for path, keeping fdOrder in sync.
-func (th *threadState) dropFD(path string) {
-	if _, ok := th.fds[path]; !ok {
-		return
-	}
-	delete(th.fds, path)
-	for i, p := range th.fdOrder {
-		if p == path {
-			th.fdOrder = append(th.fdOrder[:i], th.fdOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// firstFD returns the least-recently-opened live handle, nil if none.
-func (th *threadState) firstFD() (string, *vfs.FD) {
-	if len(th.fdOrder) == 0 {
-		return "", nil
-	}
-	path := th.fdOrder[0]
-	return path, th.fds[path]
 }
 
 // Engine runs one Workload against one Mount under virtual time.
@@ -243,7 +213,6 @@ func NewEngine(m *vfs.Mount, w *Workload, seed uint64) (*Engine, error) {
 				owner:   len(e.threads),
 				class:   cs,
 				cursors: make(map[string]int64),
-				fds:     make(map[string]*vfs.FD),
 				rng:     e.rng.Split(),
 			})
 		}
@@ -280,20 +249,9 @@ func (e *Engine) Setup(at sim.Time) (sim.Time, error) {
 	for _, name := range e.setNamesSorted() {
 		st := e.sets[name]
 		spec := st.spec
-		if spec.Dir != "" && spec.Dir != "/" {
-			// mkdir -p: create every missing component.
-			parts := strings.Split(strings.Trim(spec.Dir, "/"), "/")
-			prefix := ""
-			for _, part := range parts {
-				prefix += "/" + part
-				done, err := e.m.Mkdir(now, prefix)
-				if err != nil && !errors.Is(err, fs.ErrExist) {
-					return now, fmt.Errorf("setup fileset %s: %w", name, err)
-				}
-				if err == nil {
-					now = done
-				}
-			}
+		var err error
+		if now, err = e.m.MkdirAll(now, spec.Dir); err != nil {
+			return now, fmt.Errorf("setup fileset %s: %w", name, err)
 		}
 		prealloc := int(float64(spec.Entries)*spec.PreallocFrac + 0.5)
 		for i := 0; i < prealloc; i++ {
@@ -357,14 +315,8 @@ func filePath(dir, set string, i int) string {
 	return fmt.Sprintf("%s/%s-%05d", dir, set, i)
 }
 
-// DropCaches empties the page cache and per-file readahead state —
-// the cold-start condition of the paper's Figure 2 experiment.
-func (e *Engine) DropCaches() {
-	e.m.PC.L1.Flush()
-	if e.m.PC.L2 != nil {
-		e.m.PC.L2.Flush()
-	}
-}
+// DropCaches empties the page cache (Mount.DropCaches).
+func (e *Engine) DropCaches() { e.m.DropCaches() }
 
 // Run executes the workload from time `from` until every thread's
 // clock passes `until`. It returns the final virtual time (max over
@@ -421,23 +373,8 @@ func (e *Engine) beginProcs(loop *sim.EventLoop, until sim.Time) {
 	// growth.
 	loop.Reserve(len(e.threads) + len(e.classes) + 16)
 	e.runErr = nil
-	remaining := len(e.threads) + len(e.classes)
-	if remaining == 0 {
-		// A shard that drew no threads or classes has no process to
-		// deliver the last finish(): stop the write-back daemon now or
-		// its periodic wake would keep the loop alive forever.
-		e.m.StopWriteback()
-	}
-	finish := func() {
-		// When the last process finishes, tell the write-back daemon
-		// to exit at its next wake — otherwise its periodic wake-up
-		// would keep the loop alive forever.
-		if remaining--; remaining == 0 {
-			e.m.StopWriteback()
-		}
-	}
 	// Workers spawn before generators so every idle worker is parked
-	// on its class's list before the first arrival fires.
+	// on its class's backlog before the first arrival fires.
 	for _, th := range e.threads {
 		th := th
 		th.now = from
@@ -445,17 +382,11 @@ func (e *Engine) beginProcs(loop *sim.EventLoop, until sim.Time) {
 		if th.openLoop() {
 			body = e.workerLoop
 		}
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			body(p, th, until, &e.runErr)
-		})
+		e.m.Go(func(p *sim.Proc) { body(p, th, until, &e.runErr) })
 	}
 	for _, cs := range e.classes {
 		cs := cs
-		loop.Go(from, func(p *sim.Proc) {
-			defer finish()
-			e.generate(p, cs, until, &e.runErr)
-		})
+		e.m.Go(func(p *sim.Proc) { e.generate(p, cs, until, &e.runErr) })
 	}
 }
 
@@ -491,38 +422,23 @@ func (e *Engine) closedLoop(p *sim.Proc, th *threadState, until sim.Time, runErr
 }
 
 // workerLoop is one open-loop service process: it pulls op instances
-// off its class's arrival queue and executes them, parking on the
-// class's idle list when the queue is empty. Queueing delay ahead of
-// service — the open-loop signature — lands in the recorded latency
-// because execOp measures from the instance's arrival time.
+// off its class's backlog and executes them, parking while the
+// backlog is empty. Queueing delay ahead of service — the open-loop
+// signature — lands in the recorded latency because execOp measures
+// from the instance's arrival time.
 func (e *Engine) workerLoop(p *sim.Proc, th *threadState, until sim.Time, runErr *error) {
-	cs := th.class
+	b := &th.class.backlog
 	for *runErr == nil {
-		if len(cs.queue) == 0 {
-			if cs.genDone {
-				return
-			}
-			// Realign with the global clock before sleeping so the
-			// wake-up cannot rewind this worker's local clock, then
-			// re-check: an arrival may have landed during the yield.
-			p.WaitUntil(th.now)
-			if len(cs.queue) == 0 && !cs.genDone {
-				cs.idle = append(cs.idle, p)
-				if t := p.Park(); t > th.now {
-					th.now = t
-				}
-			}
-			continue
+		var ok bool
+		if th.now, ok = b.Wait(p, th.now); !ok || *runErr != nil {
+			return
 		}
 		if th.now >= until {
 			// Abandon the backlog: Load() reports it as offered minus
 			// completed — the divergence a closed loop cannot show.
 			return
 		}
-		job := cs.queue[0]
-		if cs.queue = cs.queue[1:]; len(cs.queue) == 0 {
-			cs.queue = nil // release the drained backing array
-		}
+		job := b.Pop()
 		if job.at > th.now {
 			th.now = job.at
 		}
@@ -541,22 +457,15 @@ func (e *Engine) workerLoop(p *sim.Proc, th *threadState, until sim.Time, runErr
 }
 
 // generate is an open-loop class's arrival process: it stamps arrival
-// times per the class's Arrival spec, appends op instances to the
-// class queue, and hands the baton to an idle worker when one is
+// times per the class's Arrival spec and pushes op instances onto the
+// class backlog, which hands the baton to an idle worker when one is
 // parked. It never waits for service completions — that independence
 // is the whole point.
 func (e *Engine) generate(p *sim.Proc, cs *classState, until sim.Time, runErr *error) {
-	defer func() {
-		// Wake every idle worker so it can observe genDone and exit;
-		// otherwise the parked procs would never finish and the
-		// write-back daemon would keep the loop alive forever.
-		cs.genDone = true
-		for len(cs.idle) > 0 {
-			w := cs.idle[0]
-			cs.idle = cs.idle[1:]
-			w.Unpark()
-		}
-	}()
+	// Closing wakes every idle worker so it can exit; otherwise the
+	// parked procs would never finish and the write-back daemon would
+	// keep the loop alive forever.
+	defer cs.backlog.Close()
 	a := cs.spec.Arrival
 	perOp := float64(sim.Second) / a.Rate
 	next := p.Now()
@@ -588,16 +497,7 @@ func (e *Engine) generate(p *sim.Proc, cs *classState, until sim.Time, runErr *e
 		}
 		for i := 0; i < n; i++ {
 			e.load.Arrive()
-			cs.queue = append(cs.queue, arrival{op: cs.nextOp(), at: next})
-			if len(cs.idle) > 0 {
-				// Direct baton handoff: the worker runs until it parks
-				// (on I/O or back onto the idle list), then control
-				// returns here — deterministic under the one-baton
-				// discipline.
-				w := cs.idle[0]
-				cs.idle = cs.idle[1:]
-				w.Unpark()
-			}
+			cs.backlog.Push(arrival{op: cs.nextOp(), at: next})
 		}
 	}
 }
@@ -643,7 +543,7 @@ func (e *Engine) pickExisting(th *threadState, st *fsState, zipf bool) (string, 
 
 // openFD returns (opening if needed) the thread's handle for path.
 func (e *Engine) openFD(th *threadState, path string) (*vfs.FD, error) {
-	if fd, ok := th.fds[path]; ok {
+	if fd, ok := th.fds.Get(path); ok {
 		return fd, nil
 	}
 	fd, done, err := e.m.Open(th.now, path)
@@ -651,8 +551,7 @@ func (e *Engine) openFD(th *threadState, path string) (*vfs.FD, error) {
 		return nil, err
 	}
 	th.now = done
-	th.fds[path] = fd
-	th.fdOrder = append(th.fdOrder, path)
+	th.fds.Add(path, fd)
 	return fd, nil
 }
 
@@ -801,7 +700,7 @@ func (e *Engine) execOp(th *threadState, op Flowop) error {
 		st.names[idx] = st.names[len(st.names)-1]
 		st.names = st.names[:len(st.names)-1]
 		for _, t := range e.threads {
-			t.dropFD(path)
+			t.fds.Drop(path)
 			delete(t.cursors, path)
 		}
 		for _, cs := range e.classes {
@@ -828,13 +727,12 @@ func (e *Engine) execOp(th *threadState, op Flowop) error {
 	case OpClose:
 		// Close the least-recently-opened handle: map iteration order
 		// would make the choice (and thus all timings) nondeterministic.
-		if path, fd := th.firstFD(); fd != nil {
-			e.m.Close(fd)
-			th.dropFD(path)
+		if path, fd := th.fds.Oldest(); fd != nil {
+			th.fds.Close(path)
 		}
 		done = start
 	case OpFsync:
-		_, target := th.firstFD()
+		_, target := th.fds.Oldest()
 		if target == nil {
 			th.now = start
 			return nil

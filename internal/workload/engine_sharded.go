@@ -175,7 +175,6 @@ func newPartitioned(mounts []*vfs.Mount, w *Workload, seed uint64) (*ShardedEngi
 				owner:   owner,
 				class:   cs,
 				cursors: make(map[string]int64),
-				fds:     make(map[string]*vfs.FD),
 				rng:     master.Split(),
 			})
 			owner++
