@@ -70,6 +70,31 @@ func main() {
 	)
 	flag.Parse()
 
+	// Reject out-of-range values before anything runs: each of these
+	// used to be clamped or defaulted silently into a configuration the
+	// user did not ask for.
+	for _, c := range []struct {
+		name string
+		bad  bool
+		want string
+	}{
+		{"ram", *ramMB <= 0, "> 0"},
+		{"os-reserve", *reserveMB < 0 || *reserveMB > *ramMB, "between 0 and -ram"},
+		{"jitter", *jitterMB < 0, ">= 0"},
+		{"l2", *l2MB < 0, ">= 0"},
+		{"nvme-channels", *nvmeChannels < 0, ">= 0"},
+		{"queue-depth", *queueDepth < 0, ">= 0"},
+		{"runs", *runs < 1, ">= 1"},
+		{"shards", *shards < 1, ">= 1"},
+		{"replay-tenants", *replayTen < 1, ">= 1"},
+		{"replay-scale", *replayScale <= 0, "> 0"},
+	} {
+		if c.bad {
+			fmt.Fprintf(os.Stderr, "fsbench: -%s must be %s, got %s\n", c.name, c.want, flag.Lookup(c.name).Value)
+			os.Exit(2)
+		}
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -179,8 +204,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *replayTen < 1 {
-			fatal(fmt.Errorf("-replay-tenants must be >= 1"))
+		if _, err := os.Stat(*replay); err != nil {
+			fatal(err)
 		}
 		// Each tenant opens its own iterators over the same file, so
 		// one capture merges into a K-tenant contention scenario.

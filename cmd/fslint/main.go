@@ -62,15 +62,39 @@ func run(patterns []string, jsonOut bool, out io.Writer) ([]analysis.Diagnostic,
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*analysis.Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
+	// Whole-module rules see every package, whichever ones are linted.
+	moduleDirs, err := analysis.Walk(loader.ModuleRoot())
+	if err != nil {
+		return nil, err
 	}
-	diags := analysis.RunAnalyzers(loader.Fset, pkgs, analysis.All())
+	loaded := map[string]*analysis.Package{}
+	load := func(dirs []string) ([]*analysis.Package, error) {
+		var pkgs []*analysis.Package
+		for _, dir := range dirs {
+			abs, err := filepath.Abs(dir)
+			if err != nil {
+				return nil, err
+			}
+			pkg, ok := loaded[abs]
+			if !ok {
+				if pkg, err = loader.LoadDir(abs); err != nil {
+					return nil, err
+				}
+				loaded[abs] = pkg
+			}
+			pkgs = append(pkgs, pkg)
+		}
+		return pkgs, nil
+	}
+	pkgs, err := load(dirs)
+	if err != nil {
+		return nil, err
+	}
+	module, err := load(moduleDirs)
+	if err != nil {
+		return nil, err
+	}
+	diags := analysis.RunAnalyzers(loader.Fset, pkgs, append(module, pkgs...), analysis.All())
 	rel(diags, loader.ModuleRoot())
 	if jsonOut {
 		if err := analysis.EncodeJSON(out, diags); err != nil {

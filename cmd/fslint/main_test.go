@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -24,9 +26,13 @@ func TestJSONOutput(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != len(diags) {
 		t.Errorf("want one JSON line per diagnostic, got %d lines for %d findings", got, len(diags))
 	}
-	decoded, err := analysis.DecodeJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var decoded []analysis.Diagnostic
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var d analysis.Diagnostic
+		if err := dec.Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		decoded = append(decoded, d)
 	}
 	for i, d := range decoded {
 		if d != diags[i] {
@@ -50,5 +56,35 @@ func TestExpandWildcard(t *testing.T) {
 	}
 	if len(dirs) != 1 || !strings.HasSuffix(dirs[0], "analysis") {
 		t.Errorf("expand found %v, want just the analysis package dir", dirs)
+	}
+}
+
+// TestDeadAPISeesWholeModule lints one directory of the real module.
+// Its exported functions are called only from other packages, so
+// deadapi must count references from the whole module, not just from
+// the linted directory: linted alone, the package looks dead.
+func TestDeadAPISeesWholeModule(t *testing.T) {
+	const dir = "../../internal/par"
+	diags, err := run([]string{dir}, false, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if d.Rule == "deadapi" {
+			t.Errorf("function used elsewhere in the module reported: %s", d)
+		}
+	}
+
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := analysis.RunAnalyzers(loader.Fset, []*analysis.Package{pkg}, nil, []*analysis.Analyzer{analysis.DeadAPI})
+	if len(alone) == 0 {
+		t.Fatal("linted without the rest of the module, internal/par reports nothing: the test no longer shows anything")
 	}
 }

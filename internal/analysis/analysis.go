@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -37,6 +36,10 @@ type Analyzer struct {
 	Scope func(pkgPath string) bool
 	// SkipTests excludes _test.go files and external test packages.
 	SkipTests bool
+	// Prepare, when set, makes the rule whole-module: RunAnalyzers
+	// calls it once with every package of the module, and each Run
+	// reads the result as Pass.Prepared.
+	Prepare func(fset *token.FileSet, module []*Package) any
 	// Run inspects one unit, reporting findings through the pass.
 	Run func(p *Pass)
 }
@@ -44,7 +47,9 @@ type Analyzer struct {
 // Pass hands one compilation unit to an analyzer.
 type Pass struct {
 	*Unit
-	Fset     *token.FileSet
+	Fset *token.FileSet
+	// Prepared is the analyzer's Prepare result, or nil.
+	Prepared any
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 }
@@ -59,11 +64,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Col:     position.Column,
 		Message: fmt.Sprintf(format, args...),
 	})
-}
-
-// IsTestFile reports whether f is a _test.go file.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
 
 // IgnorePrefix opens a suppression comment: //fslint:ignore <rule>
@@ -120,10 +120,21 @@ func suppressed(d Diagnostic, sups []suppression) bool {
 	return false
 }
 
-// RunAnalyzers applies every analyzer to every package unit,
+// RunAnalyzers applies every analyzer to every unit of pkgs,
 // honoring scope filters and suppression comments, and returns the
-// surviving diagnostics in (file, line, col, rule) order.
-func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// surviving diagnostics in (file, line, col, rule) order. module is
+// every package a whole-module rule sees, pkgs included; nil means
+// pkgs alone.
+func RunAnalyzers(fset *token.FileSet, pkgs, module []*Package, analyzers []*Analyzer) []Diagnostic {
+	if module == nil {
+		module = pkgs
+	}
+	prepared := map[*Analyzer]any{}
+	for _, a := range analyzers {
+		if a.Prepare != nil {
+			prepared[a] = a.Prepare(fset, module)
+		}
+	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		for _, unit := range pkg.Units {
@@ -137,7 +148,7 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 					continue
 				}
 				var diags []Diagnostic
-				a.Run(&Pass{Unit: unit, Fset: fset, analyzer: a, diags: &diags})
+				a.Run(&Pass{Unit: unit, Fset: fset, Prepared: prepared[a], analyzer: a, diags: &diags})
 				for _, d := range diags {
 					if a.SkipTests && strings.HasSuffix(d.File, "_test.go") {
 						continue
@@ -166,7 +177,7 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 }
 
 // EncodeJSON writes one JSON object per line — the machine surface
-// warehouse/gate tooling consumes.
+// downstream tooling consumes with a plain json.Decoder.
 func EncodeJSON(w io.Writer, diags []Diagnostic) error {
 	enc := json.NewEncoder(w)
 	for _, d := range diags {
@@ -175,26 +186,4 @@ func EncodeJSON(w io.Writer, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// DecodeJSON reads diagnostics written by EncodeJSON.
-func DecodeJSON(r io.Reader) ([]Diagnostic, error) {
-	var out []Diagnostic
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var d Diagnostic
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			return nil, fmt.Errorf("analysis: bad diagnostic line %q: %w", line, err)
-		}
-		out = append(out, d)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

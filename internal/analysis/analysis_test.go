@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -29,28 +30,33 @@ func getLoader(t *testing.T) *Loader {
 
 var wantRx = regexp.MustCompile(`// want "([^"]*)"`)
 
-// runFixture loads testdata/<name>, runs the analyzer with its scope
+// runFixture loads testdata/<name> (one or more packages, which see
+// each other as the whole module), runs the analyzer with its scope
 // filter stripped (fixture packages live outside the real scopes on
 // purpose), and diffs the reported diagnostics against the // want
 // comments: every finding must match a want on its exact line, and
 // every want must be consumed.
-func runFixture(t *testing.T, a *Analyzer, name string) {
+func runFixture(t *testing.T, a *Analyzer, names ...string) {
 	t.Helper()
 	l := getLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
+	var pkgs []*Package
+	for _, name := range names {
+		pkg, err := l.LoadDir(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", name, err)
+		}
+		pkgs = append(pkgs, pkg)
 	}
 	unscoped := *a
 	unscoped.Scope = nil
-	diags := RunAnalyzers(l.Fset, []*Package{pkg}, []*Analyzer{&unscoped})
+	diags := RunAnalyzers(l.Fset, pkgs, nil, []*Analyzer{&unscoped})
 
 	type want struct {
 		rx   *regexp.Regexp
 		used bool
 	}
 	wants := map[string]map[int][]*want{} // file -> line -> wants
-	for _, unit := range pkg.Units {
+	for _, unit := range unitsOf(pkgs) {
 		for _, f := range unit.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
@@ -94,6 +100,32 @@ func TestWallTimeFixture(t *testing.T)       { runFixture(t, WallTime, "walltime
 func TestPercentileFixture(t *testing.T)     { runFixture(t, Percentile, "percentile") }
 func TestOwnerStampFixture(t *testing.T)     { runFixture(t, OwnerStamp, "ownerstamp") }
 func TestStringerFreezeFixture(t *testing.T) { runFixture(t, StringerFreeze, "stringerfreeze") }
+func TestDeadAPIFixture(t *testing.T)        { runFixture(t, DeadAPI, "deadapi/a", "deadapi/b") }
+
+func unitsOf(pkgs []*Package) []*Unit {
+	var units []*Unit
+	for _, pkg := range pkgs {
+		units = append(units, pkg.Units...)
+	}
+	return units
+}
+
+// TestDeadAPIScope pins the rule's scope: repro/internal/... only,
+// and never a fixture under testdata.
+func TestDeadAPIScope(t *testing.T) {
+	for path, want := range map[string]bool{
+		"repro/internal/sim":        true,
+		"repro/internal/fs/ext2sim": true,
+		"repro/cmd/fslint":          false,
+		"repro/simbench":            false,
+		"repro":                     false,
+		"repro/internal/analysis/testdata/deadapi/a": false,
+	} {
+		if got := DeadAPI.Scope(path); got != want {
+			t.Errorf("DeadAPI.Scope(%q) = %v, want %v", path, got, want)
+		}
+	}
+}
 
 // TestMalformedIgnore pins both halves of the reason-less directive:
 // it is reported as malformed AND it fails to suppress the finding
@@ -106,7 +138,7 @@ func TestMalformedIgnore(t *testing.T) {
 	}
 	unscoped := *MapRange
 	unscoped.Scope = nil
-	diags := RunAnalyzers(l.Fset, []*Package{pkg}, []*Analyzer{&unscoped})
+	diags := RunAnalyzers(l.Fset, []*Package{pkg}, nil, []*Analyzer{&unscoped})
 	var rules []string
 	for _, d := range diags {
 		rules = append(rules, d.Rule)
@@ -143,7 +175,7 @@ func TestRepoIsClean(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	for _, d := range RunAnalyzers(l.Fset, pkgs, All()) {
+	for _, d := range RunAnalyzers(l.Fset, pkgs, nil, All()) {
 		t.Errorf("%s", d)
 	}
 }
@@ -161,9 +193,13 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != len(in) {
 		t.Fatalf("want one line per diagnostic, got %d lines for %d diagnostics", got, len(in))
 	}
-	out, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var out []Diagnostic
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var d Diagnostic
+		if err := dec.Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, d)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("round trip changed diagnostics:\n in: %+v\nout: %+v", in, out)

@@ -31,5 +31,6 @@ func All() []*Analyzer {
 		Percentile,
 		OwnerStamp,
 		StringerFreeze,
+		DeadAPI,
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // wallTimeFuncs are the wall-clock entry points banned in simulation
-// packages: virtual time comes from sim.Clock, never the host.
+// packages: virtual time comes from the sim.EventLoop, never the host.
 var wallTimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"Tick": true, "After": true, "AfterFunc": true,
@@ -34,12 +34,12 @@ var globalRandFuncs = map[string]bool{
 // packages. A simulated system that reads the host clock or an
 // unseeded RNG produces results that differ run to run — the exact
 // fragility the harness exists to eliminate; virtual time comes from
-// sim.Clock and randomness from seeded sim.RNG streams (DESIGN.md
+// the sim.EventLoop and randomness from seeded sim.RNG streams (DESIGN.md
 // §4). Test files are exempt: a real-time watchdog around a
 // simulation is measurement scaffolding, not simulated state.
 var WallTime = &Analyzer{
 	Name:      "walltime",
-	Doc:       "wall-clock time and global math/rand are banned in simulation packages; use sim.Clock and seeded sim.RNG",
+	Doc:       "wall-clock time and global math/rand are banned in simulation packages; use the sim.EventLoop clock and seeded sim.RNG",
 	Scope:     simScope,
 	SkipTests: true,
 	Run:       runWallTime,
@@ -63,7 +63,7 @@ func runWallTime(p *Pass) {
 				switch fn.Pkg().Path() {
 				case "time":
 					if wallTimeFuncs[fn.Name()] {
-						p.Reportf(n.Pos(), "time.%s reads the host clock; simulation time comes from sim.Clock", fn.Name())
+						p.Reportf(n.Pos(), "time.%s reads the host clock; simulation time comes from the sim.EventLoop", fn.Name())
 					}
 				case "math/rand", "math/rand/v2":
 					if globalRandFuncs[fn.Name()] {

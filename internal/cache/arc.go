@@ -145,6 +145,3 @@ func (a *ARC) trimGhosts() {
 		popBack(&a.b2, &a.nodes)
 	}
 }
-
-// Target reports ARC's adaptive recency target (for tests/reports).
-func (a *ARC) Target() int { return a.p }

@@ -1,9 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // benchPages is the fileserver benchmark's L1 size: 64 MiB of RAM less
@@ -39,7 +38,7 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 // another in a random file order.
 func BenchmarkCacheLookupHit(b *testing.B) {
 	c := fullLRU()
-	files := sim.NewRNG(1).Perm(benchPages / benchFilePages)
+	files := rand.New(rand.NewPCG(1, 1)).Perm(benchPages / benchFilePages)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

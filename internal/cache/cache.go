@@ -278,24 +278,12 @@ func (c *Cache) EndWriteback(id PageID, gen uint64) {
 // the true amount of not-yet-durable data.
 func (c *Cache) WritebackCount() int { return c.wb }
 
-// IsWriteback reports the write-back state of a resident page.
-func (c *Cache) IsWriteback(id PageID) bool {
-	m := c.pages.get(id)
-	return m != nil && m.writeback
-}
-
 // dropWriteback forgets in-flight state for a page leaving the cache.
 func (c *Cache) dropWriteback(m *pageMeta) {
 	if m.writeback {
 		m.writeback = false
 		c.wb--
 	}
-}
-
-// IsDirty reports the dirty bit of a resident page.
-func (c *Cache) IsDirty(id PageID) bool {
-	m := c.pages.get(id)
-	return m != nil && m.dirty
 }
 
 // DirtyCount reports the number of dirty resident pages. It is O(1);
@@ -363,9 +351,9 @@ func (c *Cache) InvalidateFile(file uint64) int {
 }
 
 // Resize changes capacity, evicting as needed, and returns the evicted
-// pages. The harness uses it to model per-run variation in available
-// memory — the paper's "just a few megabytes more (or less) available
-// in the cache" fragility.
+// pages.
+//
+//fslint:ignore deadapi TestPolicyBehaviourDigest shrinks and grows L1 through it; its pinned digest covers eviction order under a capacity change
 func (c *Cache) Resize(capacityPages int) []Evicted {
 	if capacityPages < 0 {
 		panic("cache: negative capacity")

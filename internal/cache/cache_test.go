@@ -8,6 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
+// policyNames lists every eviction policy NewPolicy accepts.
+var policyNames = []string{"lru", "fifo", "clock", "random", "2q", "arc"}
+
+// dirty and writeback read a page's state bits (false if not resident).
+func dirty(c *Cache, id PageID) bool {
+	m := c.pages.get(id)
+	return m != nil && m.dirty
+}
+
+func writeback(c *Cache, id PageID) bool {
+	m := c.pages.get(id)
+	return m != nil && m.writeback
+}
+
 func page(file uint64, idx int64) PageID { return PageID{File: file, Index: idx} }
 
 func TestLookupMissThenHit(t *testing.T) {
@@ -104,14 +118,14 @@ func TestMarkDirtyAndClean(t *testing.T) {
 		t.Fatal("MarkDirty succeeded on non-resident page")
 	}
 	c.Insert(page(1, 0), false)
-	if !c.MarkDirty(page(1, 0)) || !c.IsDirty(page(1, 0)) {
+	if !c.MarkDirty(page(1, 0)) || !dirty(c, page(1, 0)) {
 		t.Fatal("MarkDirty failed on resident page")
 	}
 	if c.DirtyCount() != 1 {
 		t.Fatalf("DirtyCount = %d, want 1", c.DirtyCount())
 	}
 	c.Clean(page(1, 0))
-	if c.IsDirty(page(1, 0)) || c.DirtyCount() != 0 {
+	if dirty(c, page(1, 0)) || c.DirtyCount() != 0 {
 		t.Fatal("Clean left the page dirty")
 	}
 }
@@ -215,7 +229,7 @@ func TestInsertExistingUpdatesDirty(t *testing.T) {
 	if ev := c.Insert(page(1, 0), true); len(ev) != 0 {
 		t.Fatalf("reinsert evicted %v", ev)
 	}
-	if !c.IsDirty(page(1, 0)) {
+	if !dirty(c, page(1, 0)) {
 		t.Fatal("reinsert with dirty=true did not mark page dirty")
 	}
 	if c.Stats().Inserts != 1 {
@@ -295,7 +309,7 @@ func policyInvariant(t *testing.T, name string) {
 }
 
 func TestPolicyInvariants(t *testing.T) {
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		name := name
 		t.Run(name, func(t *testing.T) { policyInvariant(t, name) })
 	}
@@ -321,7 +335,7 @@ func TestPolicyHitRatioOrdering(t *testing.T) {
 		return c.Stats().HitRatio()
 	}
 	ratios := map[string]float64{}
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		ratios[name] = run(name)
 	}
 	for _, name := range []string{"lru", "clock", "2q", "arc"} {
@@ -357,7 +371,7 @@ func TestARCAdaptsTarget(t *testing.T) {
 			touch(page(1, i-12))
 		}
 	}
-	if a.Target() == 0 {
+	if a.p == 0 {
 		t.Error("ARC target never adapted upward under recency pressure")
 	}
 }
@@ -455,7 +469,7 @@ func TestWritebackState(t *testing.T) {
 	if !ok {
 		t.Fatal("MarkWriteback failed on a dirty page")
 	}
-	if c.DirtyCount() != 0 || c.WritebackCount() != 1 || !c.IsWriteback(id) {
+	if c.DirtyCount() != 0 || c.WritebackCount() != 1 || !writeback(c, id) {
 		t.Fatalf("dirty=%d wb=%d after MarkWriteback", c.DirtyCount(), c.WritebackCount())
 	}
 	// Already in flight → no second submission.
@@ -467,8 +481,8 @@ func TestWritebackState(t *testing.T) {
 		t.Errorf("CollectDirty returned in-flight pages: %v", ids)
 	}
 	c.EndWriteback(id, gen)
-	if c.WritebackCount() != 0 || c.IsDirty(id) {
-		t.Fatalf("wb=%d dirty=%v after EndWriteback", c.WritebackCount(), c.IsDirty(id))
+	if c.WritebackCount() != 0 || dirty(c, id) {
+		t.Fatalf("wb=%d dirty=%v after EndWriteback", c.WritebackCount(), dirty(c, id))
 	}
 }
 
@@ -549,7 +563,7 @@ func TestWritebackStaleCompletionIgnored(t *testing.T) {
 	// sync paths would observe WritebackCount()==0 and report
 	// durability before the second write finished.
 	c.EndWriteback(a, genA)
-	if c.WritebackCount() != 1 || !c.IsWriteback(a) {
+	if c.WritebackCount() != 1 || !writeback(c, a) {
 		t.Fatalf("stale completion cleared the live flight: wb=%d", c.WritebackCount())
 	}
 	c.EndWriteback(a, genB)

@@ -32,7 +32,7 @@ var policyDigests = map[string]uint64{
 }
 
 func TestPolicyBehaviourDigest(t *testing.T) {
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		for _, tiered := range []bool{false, true} {
 			key := name
 			if tiered {
@@ -126,7 +126,7 @@ func behaviourDigest(t *testing.T, name string, tiered bool) uint64 {
 		}
 		wb := 0
 		for id := range universe {
-			if c.IsWriteback(id) {
+			if writeback(c, id) {
 				wb++
 			}
 		}
@@ -169,7 +169,7 @@ func behaviourDigest(t *testing.T, name string, tiered bool) uint64 {
 		case r < 162:
 			h.InvalidateFile(id.File)
 		case r < 168:
-			h.Clean(id)
+			h.L1.Clean(id)
 		case r < 171:
 			putEvicted(l1.Resize(16 + rng.Intn(40)))
 		case r < 172:

@@ -54,8 +54,3 @@ func NewPolicy(name string, rng *sim.RNG) (Policy, error) {
 		return nil, fmt.Errorf("cache: unknown policy %q", name)
 	}
 }
-
-// PolicyNames lists the available eviction policies (for sweeps).
-func PolicyNames() []string {
-	return []string{"lru", "fifo", "clock", "random", "2q", "arc"}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -25,14 +26,11 @@ func histFingerprint(h *metrics.Histogram) string {
 	if h == nil {
 		return "nil"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
-	for i := 0; i < metrics.NumBuckets; i++ {
-		if c := h.BucketCount(i); c != 0 {
-			fmt.Fprintf(&b, " %d:%d", i, c)
-		}
+	b, err := json.Marshal(h) // every field: count, sum, min, max, buckets
+	if err != nil {
+		panic(err)
 	}
-	return b.String()
+	return string(b)
 }
 
 // resultFingerprint serializes every observable number in a Result so

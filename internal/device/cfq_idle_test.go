@@ -76,7 +76,7 @@ func TestCFQIdleBeatsCFQOnDeceptiveIdleness(t *testing.T) {
 		t.Errorf("cfq-idle finished the sync reader at %v, cfq at %v: want >2x improvement",
 			idle, plain)
 	}
-	if iw, pw := idleStats.PerOwner[1].MeanWait(), plainStats.PerOwner[1].MeanWait(); iw >= pw {
+	if iw, pw := meanWait(idleStats.PerOwner[1]), meanWait(plainStats.PerOwner[1]); iw >= pw {
 		t.Errorf("owner 1 mean wait: cfq-idle %v not below cfq %v", iw, pw)
 	}
 	// The backlog owner still finishes — idling trades at most one
@@ -122,8 +122,8 @@ func TestCFQIdleGraceExpiryReleasesSlice(t *testing.T) {
 	if len(order) != 2 || order[0][0] != 'a' || order[1][0] != 'b' {
 		t.Fatalf("completion order %v, want a then b", order)
 	}
-	if q.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", q.Pending())
+	if pending(q) != 0 {
+		t.Fatalf("queue not drained: %d pending", pending(q))
 	}
 	s := q.Stats()
 	// Owner 2's wait must include (most of) the grace: the idling

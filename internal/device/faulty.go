@@ -37,6 +37,8 @@ type Faulty struct {
 }
 
 // NewFaulty wraps inner with the given policy.
+//
+//fslint:ignore deadapi the fault-injecting fake behind the device, vfs and workload error-path tests
 func NewFaulty(inner Device, policy FaultPolicy, rng *sim.RNG) *Faulty {
 	return &Faulty{Inner: inner, Policy: policy, rng: rng}
 }

@@ -144,14 +144,14 @@ func mkNVMeQueue(t testing.TB, channels, depth int, schedName string) (*Queue, *
 func TestQueueWidthFromDevice(t *testing.T) {
 	loop := sim.NewEventLoop(0)
 	sched, _ := NewScheduler(SchedFCFS)
-	if w := NewQueue(NewHDD(DefaultHDD(), sim.NewRNG(1)), sched, 8, loop).Width(); w != 1 {
+	if w := NewQueue(NewHDD(DefaultHDD(), sim.NewRNG(1)), sched, 8, loop).width; w != 1 {
 		t.Errorf("HDD queue width = %d, want 1", w)
 	}
-	if w := NewQueue(mkNVMe(4, 1), sched, 8, loop).Width(); w != 4 {
+	if w := NewQueue(mkNVMe(4, 1), sched, 8, loop).width; w != 4 {
 		t.Errorf("NVMe queue width = %d, want 4", w)
 	}
 	faulty := NewFaulty(mkNVMe(4, 1), FaultPolicy{}, sim.NewRNG(2))
-	if w := NewQueue(faulty, sched, 8, loop).Width(); w != 4 {
+	if w := NewQueue(faulty, sched, 8, loop).width; w != 4 {
 		t.Errorf("Faulty(NVMe) queue width = %d, want forwarded 4", w)
 	}
 }
@@ -173,14 +173,14 @@ func TestQueueDispatchesWhileChannelsFree(t *testing.T) {
 						last = done
 					}
 				})
-			if q.InFlight() > peak {
-				peak = q.InFlight()
+			if q.inflight > peak {
+				peak = q.inflight
 			}
 		}
 		loop.Run()
-		if q.Pending() != 0 || q.InFlight() != 0 {
+		if pending(q) != 0 || q.inflight != 0 {
 			t.Fatalf("channels=%d: not drained: pending=%d inflight=%d",
-				channels, q.Pending(), q.InFlight())
+				channels, pending(q), q.inflight)
 		}
 		return last, peak
 	}
@@ -287,7 +287,7 @@ func TestQueueKickRedispatches(t *testing.T) {
 	if done < idle {
 		t.Errorf("request done at %v, before the %v kick", done, idle)
 	}
-	if q.Pending() != 0 {
-		t.Errorf("queue not drained: %d pending", q.Pending())
+	if pending(q) != 0 {
+		t.Errorf("queue not drained: %d pending", pending(q))
 	}
 }

@@ -93,23 +93,6 @@ type OwnerQueueStats struct {
 	Wait      sim.Time
 }
 
-// MeanWait reports the owner's average queueing delay per completed
-// request.
-func (s OwnerQueueStats) MeanWait() sim.Time {
-	if s.Completed == 0 {
-		return 0
-	}
-	return s.Wait / sim.Time(s.Completed)
-}
-
-// MeanWait reports the average queueing delay per completed request.
-func (s QueueStats) MeanWait() sim.Time {
-	if s.Completed == 0 {
-		return 0
-	}
-	return s.Wait / sim.Time(s.Completed)
-}
-
 // Merge folds another queue's counters in: counts and waits add, the
 // high-water mark takes the worst queue's. Sharded runs use it to
 // report one aggregate over per-shard device queues; owner entries
@@ -169,19 +152,6 @@ func NewQueue(dev Device, sched Scheduler, depth int, loop *sim.EventLoop) *Queu
 	return q
 }
 
-// Scheduler exposes the active policy.
-func (q *Queue) Scheduler() Scheduler { return q.sched }
-
-// Depth reports the reorder-window bound.
-func (q *Queue) Depth() int { return q.depth }
-
-// Width reports the service bound: how many requests may be in flight
-// at the device concurrently.
-func (q *Queue) Width() int { return q.width }
-
-// InFlight reports requests currently in service at the device.
-func (q *Queue) InFlight() int { return q.inflight }
-
 // Stats returns a snapshot of the counters.
 func (q *Queue) Stats() QueueStats {
 	s := q.stats
@@ -193,12 +163,6 @@ func (q *Queue) Stats() QueueStats {
 // excluding in-flight.
 func (q *Queue) queued() int {
 	return q.sched.Len() + len(q.backlog) - q.backlogHead
-}
-
-// Pending reports requests submitted but not yet completed, including
-// those in service.
-func (q *Queue) Pending() int {
-	return q.queued() + q.inflight
 }
 
 // Submit enqueues one request at virtual time at (clamped to the

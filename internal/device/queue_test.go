@@ -9,6 +9,18 @@ import (
 	"repro/internal/sim"
 )
 
+// pending counts requests submitted but not yet completed: queued
+// plus in service.
+func pending(q *Queue) int { return q.queued() + q.inflight }
+
+// meanWait is the average queueing delay per completed request.
+func meanWait(s OwnerQueueStats) sim.Time {
+	if s.Completed == 0 {
+		return 0
+	}
+	return s.Wait / sim.Time(s.Completed)
+}
+
 func mkQueue(t testing.TB, schedName string, depth int) (*Queue, *sim.EventLoop) {
 	t.Helper()
 	sched, err := NewScheduler(schedName)
@@ -51,8 +63,8 @@ func completionOrder(t *testing.T, schedName string, depth int, lbas []int64) []
 		})
 	}
 	loop.Run()
-	if q.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", q.Pending())
+	if pending(q) != 0 {
+		t.Fatalf("queue not drained: %d pending", pending(q))
 	}
 	return order
 }
@@ -181,8 +193,8 @@ func TestQueueBacklogAdmission(t *testing.T) {
 	if n != 20 {
 		t.Fatalf("completed %d of 20", n)
 	}
-	if q.Stats().Completed != 20 || q.Pending() != 0 {
-		t.Fatalf("stats = %+v, pending = %d", q.Stats(), q.Pending())
+	if q.Stats().Completed != 20 || pending(q) != 0 {
+		t.Fatalf("stats = %+v, pending = %d", q.Stats(), pending(q))
 	}
 	if q.Stats().Wait == 0 {
 		t.Error("no queueing delay recorded for a 20-deep burst")
@@ -261,7 +273,7 @@ func TestMaxQueuedExcludesInFlight(t *testing.T) {
 	if got := q.Stats().MaxQueued; got != 6 {
 		t.Errorf("MaxQueued = %d, want 6 (10 submitted - 4 in flight)", got)
 	}
-	if got := q.Pending(); got != 10 {
+	if got := pending(q); got != 10 {
 		t.Errorf("Pending = %d, want 10 (queued + in flight)", got)
 	}
 	loop.Run()
@@ -302,7 +314,7 @@ func TestQueueErrorsNotCompleted(t *testing.T) {
 	if s.Wait != doneA {
 		t.Errorf("Wait = %v, want exactly C's delay %v (errored B excluded)", s.Wait, doneA)
 	}
-	if got := s.MeanWait(); got != doneA/2 {
+	if got := meanWait(OwnerQueueStats{Completed: s.Completed, Wait: s.Wait}); got != doneA/2 {
 		t.Errorf("MeanWait = %v, want %v over the 2 completed requests", got, doneA/2)
 	}
 }
@@ -334,9 +346,9 @@ func TestQueuePerOwnerWait(t *testing.T) {
 		t.Errorf("per-owner completions = %d/%d, want 3/3",
 			s.PerOwner[1].Completed, s.PerOwner[2].Completed)
 	}
-	if s.PerOwner[2].MeanWait() <= s.PerOwner[1].MeanWait() {
+	if meanWait(s.PerOwner[2]) <= meanWait(s.PerOwner[1]) {
 		t.Errorf("FCFS interleave: owner 2 (always behind owner 1) should wait more: %v vs %v",
-			s.PerOwner[2].MeanWait(), s.PerOwner[1].MeanWait())
+			meanWait(s.PerOwner[2]), meanWait(s.PerOwner[1]))
 	}
 }
 
@@ -359,7 +371,7 @@ func TestQueuePerOwnerWaitSpreadCFQvsNCQ(t *testing.T) {
 		if s.Completed != 32 {
 			t.Fatalf("%s: completed %d of 32", schedName, s.Completed)
 		}
-		near, far := s.PerOwner[1].MeanWait(), s.PerOwner[2].MeanWait()
+		near, far := meanWait(s.PerOwner[1]), meanWait(s.PerOwner[2])
 		if near == 0 || far == 0 {
 			t.Fatalf("%s: owner mean wait missing: near=%v far=%v", schedName, near, far)
 		}

@@ -52,15 +52,6 @@ func NewBitmapAlloc(total, groupSize int64) *BitmapAlloc {
 // Free reports the number of free blocks.
 func (a *BitmapAlloc) Free() int64 { return a.free }
 
-// Total reports the total number of blocks.
-func (a *BitmapAlloc) Total() int64 { return a.total }
-
-// Groups reports the number of block groups.
-func (a *BitmapAlloc) Groups() int { return len(a.groupFree) }
-
-// GroupFree reports free blocks in group g.
-func (a *BitmapAlloc) GroupFree(g int) int64 { return a.groupFree[g] }
-
 // isFree reports whether block b is free.
 func (a *BitmapAlloc) isFree(b int64) bool {
 	return a.words[b>>6]&(1<<(uint(b)&63)) == 0
@@ -214,13 +205,6 @@ func NewExtentAlloc(total int64) *ExtentAlloc {
 
 // Free reports free blocks.
 func (a *ExtentAlloc) Free() int64 { return a.free }
-
-// Total reports total blocks.
-func (a *ExtentAlloc) Total() int64 { return a.total }
-
-// FreeExtents reports the number of free extents (a fragmentation
-// measure: 1 means perfectly defragmented).
-func (a *ExtentAlloc) FreeExtents() int { return len(a.exts) }
 
 // Reserve removes [start, start+count) from the free pool at format
 // time. Panics if the range is not entirely free.

@@ -14,7 +14,7 @@ func fragmented(total, groupSize int64, seed uint64) *BitmapAlloc {
 	rng := sim.NewRNG(seed)
 	var held []Run
 	for a.Free() > total/4 {
-		runs, err := a.Alloc(1+rng.Int63n(32), a.Total()-a.Free())
+		runs, err := a.Alloc(1+rng.Int63n(32), a.total-a.Free())
 		if err != nil {
 			break
 		}
@@ -34,7 +34,7 @@ func BenchmarkBitmapAllocFragmented(b *testing.B) {
 	rng := sim.NewRNG(2)
 	goals := make([]int64, 1024)
 	for i := range goals {
-		goals[i] = rng.Int63n(a.Total())
+		goals[i] = rng.Int63n(a.total)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

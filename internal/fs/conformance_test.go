@@ -408,9 +408,6 @@ func TestExt3Modes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Mode() != mode {
-			t.Errorf("Mode = %v, want %v", f.Mode(), mode)
-		}
 		ino, _, err := f.Create(f.Root(), "x", fs.Regular, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -466,14 +463,3 @@ func TestExt2IndirectMetadataCharged(t *testing.T) {
 	}
 }
 
-func TestExt2FragScore(t *testing.T) {
-	e2, _ := ext2sim.New(testBlocks)
-	if got := e2.FragScore(); got != 1 {
-		t.Fatalf("empty fs FragScore = %v, want 1", got)
-	}
-	ino, _, _ := e2.Create(e2.Root(), "a", fs.Regular, 0)
-	e2.Resize(ino, 4<<20, 0)
-	if got := e2.FragScore(); got < 1 {
-		t.Fatalf("FragScore = %v, want >= 1", got)
-	}
-}

@@ -477,25 +477,4 @@ func (f *FS) TouchAtime(ino fs.Ino, now sim.Time) []fs.IOStep {
 // The range must be free.
 func (f *FS) ReserveRange(start, count int64) { f.alloc.Reserve(start, count) }
 
-// InodeBlock exposes inode placement to wrapping models.
-func (f *FS) InodeBlock(ino fs.Ino) int64 { return f.itab.Block(ino) }
-
-// FragScore reports the average extents-per-file — the aging measure
-// used by layout benchmarks (1.0 = perfectly contiguous).
-func (f *FS) FragScore() float64 {
-	files, exts := 0, 0
-	//fslint:ignore maprange commutative counting: only sums of per-file extent counts escape
-	for _, fl := range f.files {
-		if fl.ext.Blocks() == 0 {
-			continue
-		}
-		files++
-		exts += fl.ext.Extents()
-	}
-	if files == 0 {
-		return 1
-	}
-	return float64(exts) / float64(files)
-}
-
 var _ fs.FileSystem = (*FS)(nil)

@@ -54,12 +54,12 @@ func TestInodePlacementInGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inode 1 (root) lives in group 0's inode table.
-	b1 := f.InodeBlock(1)
+	b1 := f.itab.Block(1)
 	if b1 < 4 || b1 >= 4+InodesPerGroup/32 {
 		t.Errorf("root inode block %d outside group 0 table", b1)
 	}
 	// Inode InodesPerGroup+1 lives in group 1.
-	b2 := f.InodeBlock(fs.Ino(InodesPerGroup + 1))
+	b2 := f.itab.Block(fs.Ino(InodesPerGroup + 1))
 	if b2 < GroupBlocks {
 		t.Errorf("group-1 inode block %d inside group 0", b2)
 	}

@@ -56,7 +56,7 @@ func TestJournalStepsAreSequentialSyncWrites(t *testing.T) {
 
 func TestCommitInterval(t *testing.T) {
 	f, _ := New(262144, Ordered)
-	f.SetCommitOps(4)
+	f.commitOps = 4
 	for i := 0; i < 3; i++ {
 		if _, _, err := f.Create(f.Root(), "a"+string(rune('0'+i)), fs.Regular, 0); err != nil {
 			t.Fatal(err)

@@ -34,8 +34,8 @@ func TestMetaAndDataPageDisjoint(t *testing.T) {
 
 func TestBitmapAllocBasic(t *testing.T) {
 	a := NewBitmapAlloc(1000, 100)
-	if a.Free() != 1000 || a.Groups() != 10 {
-		t.Fatalf("fresh allocator: free=%d groups=%d", a.Free(), a.Groups())
+	if a.Free() != 1000 || len(a.groupFree) != 10 {
+		t.Fatalf("fresh allocator: free=%d groups=%d", a.Free(), len(a.groupFree))
 	}
 	runs, err := a.Alloc(50, 0)
 	if err != nil {
@@ -176,8 +176,8 @@ func TestBitmapAllocProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(owned)) != a.Total()-a.Free() {
-		t.Fatalf("accounting drift: owned=%d, allocator says %d", len(owned), a.Total()-a.Free())
+	if int64(len(owned)) != a.total-a.Free() {
+		t.Fatalf("accounting drift: owned=%d, allocator says %d", len(owned), a.total-a.Free())
 	}
 }
 
@@ -213,8 +213,8 @@ func TestExtentAllocCoalesce(t *testing.T) {
 	r2, _ := a.Alloc(100, 0)
 	a.FreeRun(r1[0].Start, 100)
 	a.FreeRun(r2[0].Start, 100)
-	if a.FreeExtents() != 1 {
-		t.Fatalf("adjacent frees not coalesced: %d extents", a.FreeExtents())
+	if len(a.exts) != 1 {
+		t.Fatalf("adjacent frees not coalesced: %d extents", len(a.exts))
 	}
 	if a.Free() != 1000 {
 		t.Fatalf("free count = %d, want 1000", a.Free())
@@ -265,14 +265,14 @@ func TestExtentAllocProperty(t *testing.T) {
 	for _, r := range live {
 		a.FreeRun(r.Start, r.Count)
 	}
-	if a.Free() != 8192 || a.FreeExtents() != 1 {
-		t.Fatalf("after full free: free=%d extents=%d, want 8192/1", a.Free(), a.FreeExtents())
+	if a.Free() != 8192 || len(a.exts) != 1 {
+		t.Fatalf("after full free: free=%d extents=%d, want 8192/1", a.Free(), len(a.exts))
 	}
 }
 
 func TestNamespaceBasics(t *testing.T) {
 	ns := NewNamespace(1)
-	if ns.Root() != 1 || !ns.IsDir(1) {
+	if ns.Root() != 1 || ns.dirs[1] == nil {
 		t.Fatal("root not set up")
 	}
 	if _, err := ns.Insert(1, "a", 2, Regular); err != nil {
@@ -296,7 +296,7 @@ func TestNamespaceBasics(t *testing.T) {
 func TestNamespaceDirectoryLifecycle(t *testing.T) {
 	ns := NewNamespace(1)
 	ns.Insert(1, "d", 2, Directory)
-	if !ns.IsDir(2) {
+	if ns.dirs[2] == nil {
 		t.Fatal("created directory not a directory")
 	}
 	ns.Insert(2, "child", 3, Regular)
@@ -309,7 +309,7 @@ func TestNamespaceDirectoryLifecycle(t *testing.T) {
 	if _, _, _, err := ns.Remove(1, "d"); err != nil {
 		t.Fatalf("removing emptied dir: %v", err)
 	}
-	if ns.IsDir(2) {
+	if ns.dirs[2] != nil {
 		t.Fatal("removed directory still registered")
 	}
 }
@@ -347,8 +347,8 @@ func TestNamespaceCompaction(t *testing.T) {
 			t.Fatalf("entry f%d lost after compaction: %v", i, err)
 		}
 	}
-	if ns.Len(1) != 10 {
-		t.Fatalf("Len = %d, want 10", ns.Len(1))
+	if len(ns.dirs[1].entries) != 10 {
+		t.Fatalf("Len = %d, want 10", len(ns.dirs[1].entries))
 	}
 }
 
@@ -484,14 +484,14 @@ func TestJournalAppendCommit(t *testing.T) {
 			t.Fatalf("journal block %d = %d, want %d (sequential)", i, s.Block, 1000+i)
 		}
 	}
-	if j.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", j.Pending())
+	if j.pending != 3 {
+		t.Fatalf("Pending = %d, want 3", j.pending)
 	}
 	commit := j.Commit()
 	if len(commit) != 1 || commit[0].Block != 1003 {
 		t.Fatalf("Commit = %v, want one write at 1003", commit)
 	}
-	if j.Pending() != 0 {
+	if j.pending != 0 {
 		t.Fatal("Pending not cleared by Commit")
 	}
 	if again := j.Commit(); again != nil {
@@ -532,8 +532,8 @@ func TestInodeTable(t *testing.T) {
 	if _, err := tab.Get(f.Ino); err == nil {
 		t.Fatal("deleted inode still present")
 	}
-	if tab.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", tab.Count())
+	if len(tab.nodes) != 1 {
+		t.Fatalf("Count = %d, want 1", len(tab.nodes))
 	}
 }
 

@@ -26,10 +26,6 @@ func NewJournal(start, blocks int64) *Journal {
 	return &Journal{start: start, blocks: blocks}
 }
 
-// Region reports the journal's disk location (for format-time
-// reservation).
-func (j *Journal) Region() (start, blocks int64) { return j.start, j.blocks }
-
 // Append returns synchronous write steps for n record blocks.
 func (j *Journal) Append(n int) []IOStep {
 	steps := make([]IOStep, 0, n)
@@ -62,9 +58,6 @@ func (j *Journal) Commit() []IOStep {
 	j.commits++
 	return []IOStep{step}
 }
-
-// Pending reports uncommitted record blocks.
-func (j *Journal) Pending() int { return j.pending }
 
 // Stats reports lifetime counters: record blocks appended, commits
 // issued, and full wraps of the region.

@@ -42,22 +42,6 @@ func newDirNode() *dirNode {
 // Root returns the root directory inode.
 func (ns *Namespace) Root() Ino { return ns.root }
 
-// IsDir reports whether ino is a directory known to the namespace.
-func (ns *Namespace) IsDir(ino Ino) bool {
-	_, ok := ns.dirs[ino]
-	return ok
-}
-
-// Len reports the number of entries in dir, or -1 if dir is not a
-// directory.
-func (ns *Namespace) Len(dir Ino) int {
-	d, ok := ns.dirs[dir]
-	if !ok {
-		return -1
-	}
-	return len(d.entries)
-}
-
 // Blocks reports how many data blocks dir occupies.
 func (ns *Namespace) Blocks(dir Ino) int64 {
 	d, ok := ns.dirs[dir]

@@ -388,21 +388,4 @@ func (f *FS) TouchAtime(ino fs.Ino, now sim.Time) []fs.IOStep {
 	return []fs.IOStep{fs.WriteStep(f.itab.Block(ino))}
 }
 
-// FragScore reports average extents per file (1.0 = contiguous).
-func (f *FS) FragScore() float64 {
-	files, exts := 0, 0
-	//fslint:ignore maprange commutative counting: only sums of per-file extent counts escape
-	for _, fl := range f.files {
-		if fl.ext.Blocks() == 0 {
-			continue
-		}
-		files++
-		exts += fl.ext.Extents()
-	}
-	if files == 0 {
-		return 1
-	}
-	return float64(exts) / float64(files)
-}
-
 var _ fs.FileSystem = (*FS)(nil)

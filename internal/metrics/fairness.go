@@ -34,9 +34,6 @@ func (p *PerOwner) grow(n int) {
 	}
 }
 
-// Owners reports the number of owner slots (highest recorded id + 1).
-func (p *PerOwner) Owners() int { return len(p.hists) }
-
 // Hist returns owner's latency histogram, or nil for an unrecorded
 // owner.
 func (p *PerOwner) Hist(owner int) *Histogram {
@@ -68,9 +65,6 @@ func (p *PerOwner) OpsPadded(n int) []int64 {
 	}
 	return out
 }
-
-// Jain reports the Jain fairness index of the per-owner op counts.
-func (p *PerOwner) Jain() float64 { return JainIndexCounts(p.Ops()) }
 
 // OwnerSpread summarizes a service split: the op-count extremes over
 // a fixed set of owners and the p99 latency extremes among owners

@@ -71,9 +71,6 @@ func (h *Histogram) Record(d sim.Time) {
 // Count reports total observations.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum reports the total of all observations in nanoseconds.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Mean reports the mean latency in nanoseconds (0 if empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -81,9 +78,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.count)
 }
-
-// Min and Max report observed extremes in nanoseconds.
-func (h *Histogram) Min() int64 { return h.min }
 
 // Max reports the maximum observed latency.
 func (h *Histogram) Max() int64 { return h.max }
@@ -166,15 +160,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.count += other.count
 	h.sum += other.sum
-}
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Clone returns a copy.
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	return &c
 }
 
 // Modes returns the bucket indices of local maxima holding at least

@@ -29,9 +29,6 @@ func (g *LoadGauge) Arrive() {
 // Complete records one finished op instance.
 func (g *LoadGauge) Complete() { g.Completed++ }
 
-// Backlog reports the current in-system population.
-func (g *LoadGauge) Backlog() int64 { return g.Offered - g.Completed }
-
 // CompletionRatio reports Completed/Offered — the fraction of offered
 // load the system absorbed. A gauge that never saw an arrival (closed
 // loops) reports 1: everything issued was completed by construction.

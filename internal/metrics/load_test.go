@@ -10,13 +10,13 @@ func TestLoadGauge(t *testing.T) {
 	g.Arrive()
 	g.Arrive()
 	g.Arrive()
-	if g.Backlog() != 3 || g.BacklogPeak != 3 {
-		t.Fatalf("backlog=%d peak=%d after 3 arrivals", g.Backlog(), g.BacklogPeak)
+	if g.Offered-g.Completed != 3 || g.BacklogPeak != 3 {
+		t.Fatalf("backlog=%d peak=%d after 3 arrivals", g.Offered-g.Completed, g.BacklogPeak)
 	}
 	g.Complete()
 	g.Complete()
-	if g.Backlog() != 1 {
-		t.Fatalf("backlog=%d after 2 completions", g.Backlog())
+	if g.Offered-g.Completed != 1 {
+		t.Fatalf("backlog=%d after 2 completions", g.Offered-g.Completed)
 	}
 	g.Arrive() // backlog back to 2: peak must stay 3
 	if g.BacklogPeak != 3 {

@@ -88,16 +88,16 @@ func TestMergeInvariants(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := recordAll(randomLatencies(rng, 1+rng.Intn(100)))
 		b := recordAll(randomLatencies(rng, 1+rng.Intn(100)))
-		m := a.Clone()
+		m := *a
 		m.Merge(b)
 		if m.Count() != a.Count()+b.Count() {
 			t.Fatalf("trial %d: count %d != %d + %d", trial, m.Count(), a.Count(), b.Count())
 		}
-		if m.Sum() != a.Sum()+b.Sum() {
-			t.Fatalf("trial %d: sum %d != %d + %d", trial, m.Sum(), a.Sum(), b.Sum())
+		if m.sum != a.sum+b.sum {
+			t.Fatalf("trial %d: sum %d != %d + %d", trial, m.sum, a.sum, b.sum)
 		}
-		if m.Min() != min(a.Min(), b.Min()) {
-			t.Fatalf("trial %d: min %d, want %d", trial, m.Min(), min(a.Min(), b.Min()))
+		if m.min != min(a.min, b.min) {
+			t.Fatalf("trial %d: min %d, want %d", trial, m.min, min(a.min, b.min))
 		}
 		if m.Max() != max(a.Max(), b.Max()) {
 			t.Fatalf("trial %d: max %d, want %d", trial, m.Max(), max(a.Max(), b.Max()))

@@ -19,11 +19,6 @@ type TimeSeries struct {
 	values   []float64 // optional value accumulation (e.g. bytes)
 }
 
-// NewTimeSeries returns a series with the given bucket width.
-func NewTimeSeries(interval sim.Time) *TimeSeries {
-	return NewTimeSeriesOffset(interval, 0)
-}
-
 // NewTimeSeriesOffset returns a series whose bucket 0 starts at the
 // given virtual time — experiments rarely begin at t=0 because setup
 // (file preallocation) consumes virtual time first.
@@ -102,25 +97,6 @@ func (ts *TimeSeries) Rates() []float64 {
 	return out
 }
 
-// Times returns each bucket's start time in seconds, aligned with
-// Rates.
-func (ts *TimeSeries) Times() []float64 {
-	out := make([]float64, len(ts.counts))
-	for i := range out {
-		out[i] = (sim.Time(i) * ts.interval).Seconds()
-	}
-	return out
-}
-
-// Total reports total events.
-func (ts *TimeSeries) Total() int64 {
-	var n int64
-	for _, c := range ts.counts {
-		n += c
-	}
-	return n
-}
-
 // String renders "t=Xs rate" lines.
 func (ts *TimeSeries) String() string {
 	var sb strings.Builder
@@ -137,11 +113,6 @@ type HistogramTimeline struct {
 	interval sim.Time
 	offset   sim.Time
 	hists    []*Histogram
-}
-
-// NewHistogramTimeline returns a timeline with the given interval.
-func NewHistogramTimeline(interval sim.Time) *HistogramTimeline {
-	return NewHistogramTimelineOffset(interval, 0)
 }
 
 // NewHistogramTimelineOffset returns a timeline whose snapshot 0
@@ -198,15 +169,6 @@ func (tl *HistogramTimeline) Merge(other *HistogramTimeline) {
 	for i, h := range other.hists {
 		tl.hists[i].Merge(h)
 	}
-}
-
-// Merged returns the union of all snapshots.
-func (tl *HistogramTimeline) Merged() *Histogram {
-	out := &Histogram{}
-	for _, h := range tl.hists {
-		out.Merge(h)
-	}
-	return out
 }
 
 // Counter is a plain operation/error counter pair used by the

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -120,16 +119,5 @@ func TestHistogramRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("histogram output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestSummaryRow(t *testing.T) {
-	s := stats.Summarize([]float64{9, 10, 11})
-	row := SummaryRow(s)
-	if len(row) != 3 || row[0] != "10.0" {
-		t.Errorf("SummaryRow = %v", row)
-	}
-	if !strings.Contains(row[2], "[") {
-		t.Errorf("CI cell = %q", row[2])
 	}
 }

@@ -22,11 +22,6 @@ func (r *RNG) NormalClamped(mean, stddev, lo, hi float64) float64 {
 	return v
 }
 
-// Uniform samples uniformly from [lo, hi).
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Exponential samples an exponential variate with the given mean.
 func (r *RNG) Exponential(mean float64) float64 {
 	return mean * r.ExpFloat64()
@@ -42,12 +37,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 			return xm / math.Pow(u, 1/alpha)
 		}
 	}
-}
-
-// LogNormal samples a log-normal variate with the given parameters of
-// the underlying normal (mu, sigma).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
 }
 
 // Zipf generates Zipf-distributed integers in [0, n) with exponent s,

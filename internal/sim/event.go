@@ -17,10 +17,14 @@ import "iter"
 // fire in (time, sequence) order: ties at the same virtual instant
 // resolve in scheduling order, which makes every run bit-identical
 // regardless of host parallelism or GC behavior.
+//
+// The loop owns the virtual clock: now only moves forward, to the
+// timestamp of each event as it fires. The zero value is a loop at
+// time zero.
 type EventLoop struct {
-	clock Clock
-	heap  []event
-	seq   uint64
+	now  Time
+	heap []event
+	seq  uint64
 }
 
 // event is one heap entry: either a closure (fn) or a pre-bound
@@ -45,26 +49,16 @@ type EventTarget interface {
 }
 
 // NewEventLoop returns a loop whose clock starts at the given time.
-func NewEventLoop(start Time) *EventLoop {
-	l := &EventLoop{}
-	l.clock.AdvanceTo(start)
-	return l
-}
+func NewEventLoop(start Time) *EventLoop { return &EventLoop{now: start} }
 
 // Now reports the loop's current virtual time.
-func (l *EventLoop) Now() Time { return l.clock.Now() }
-
-// Clock exposes the loop's clock (read-only use expected).
-func (l *EventLoop) Clock() *Clock { return &l.clock }
-
-// Len reports the number of pending events.
-func (l *EventLoop) Len() int { return len(l.heap) }
+func (l *EventLoop) Now() Time { return l.now }
 
 // Schedule enqueues fn to run at virtual time at. Times in the past
 // are clamped to now: an event can never rewind the clock.
 func (l *EventLoop) Schedule(at Time, fn func()) {
-	if at < l.clock.Now() {
-		at = l.clock.Now()
+	if at < l.now {
+		at = l.now
 	}
 	l.heap = append(l.heap, event{at: at, seq: l.seq, fn: fn})
 	l.seq++
@@ -75,8 +69,8 @@ func (l *EventLoop) Schedule(at Time, fn func()) {
 // with the same past-clamping as Schedule but without allocating a
 // closure. With a Reserved heap the call is allocation-free.
 func (l *EventLoop) ScheduleTarget(at Time, tgt EventTarget) {
-	if at < l.clock.Now() {
-		at = l.clock.Now()
+	if at < l.now {
+		at = l.now
 	}
 	l.heap = append(l.heap, event{at: at, seq: l.seq, tgt: tgt})
 	l.seq++
@@ -109,7 +103,7 @@ func (l *EventLoop) Step() bool {
 	if n > 0 {
 		l.down(0)
 	}
-	l.clock.AdvanceTo(ev.at)
+	l.now = ev.at // never backwards: Schedule clamps to now
 	if ev.tgt != nil {
 		ev.tgt.RunEvent()
 	} else {
@@ -231,9 +225,6 @@ func (p *Proc) RunEvent() { p.resume() }
 // the loop clock between yields (CPU-only work is accounted locally);
 // it never lags it after a wait.
 func (p *Proc) Now() Time { return p.now }
-
-// Loop exposes the owning event loop.
-func (p *Proc) Loop() *EventLoop { return p.loop }
 
 // WaitUntil parks the process until virtual time t, yielding the baton
 // to the loop. If t is not in the future the call returns immediately

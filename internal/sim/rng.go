@@ -83,9 +83,6 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xd2b74407b1ce6e93)
 }
 
-// Int63 returns a non-negative 63-bit random integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Int63n returns a uniform random integer in [0, n). It panics if
 // n <= 0.
 func (r *RNG) Int63n(n int64) int64 {
@@ -143,24 +140,5 @@ func (r *RNG) ExpFloat64() float64 {
 		if u > 0 {
 			return -math.Log(u)
 		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

@@ -119,9 +119,6 @@ func NewShardedLoop(start, lookahead Time, edges [][]int) *ShardedLoop {
 	return sl
 }
 
-// NumShards reports the shard count.
-func (sl *ShardedLoop) NumShards() int { return len(sl.shards) }
-
 // Shard returns shard i's event loop. Before Run, the caller seeds it
 // (spawn procs, schedule events) from its own goroutine; during Run,
 // only code executing on shard i may touch it.

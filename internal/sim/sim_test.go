@@ -4,64 +4,58 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
+// The virtual clock lives in the EventLoop: these tests pin its
+// contract — zero value at time zero, moved only by firing events,
+// never backwards.
+
 func TestClockZeroValue(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatalf("zero clock Now() = %d, want 0", c.Now())
+	var l EventLoop
+	if l.Now() != 0 {
+		t.Fatalf("zero loop Now() = %d, want 0", l.Now())
+	}
+	l.Schedule(Second, func() {})
+	l.Run()
+	if l.Now() != Second {
+		t.Fatalf("zero loop after one event: Now() = %v, want 1s", l.Now())
 	}
 }
 
 func TestClockAdvance(t *testing.T) {
-	c := NewClock(0)
-	c.Advance(5 * Second)
-	if got := c.Now(); got != 5*Second {
+	l := NewEventLoop(0)
+	l.Schedule(5*Second, func() {})
+	if !l.Step() {
+		t.Fatal("Step ran nothing")
+	}
+	if got := l.Now(); got != 5*Second {
 		t.Fatalf("Now() = %v, want 5s", got)
 	}
-	c.Advance(0)
-	if got := c.Now(); got != 5*Second {
-		t.Fatalf("Advance(0) moved the clock: %v", got)
+	if l.Step() {
+		t.Fatal("Step on an empty loop ran an event")
 	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	NewClock(0).Advance(-1)
+	if got := l.Now(); got != 5*Second {
+		t.Fatalf("empty Step moved the clock: %v", got)
+	}
 }
 
 func TestClockAdvanceTo(t *testing.T) {
-	c := NewClock(10 * Second)
-	c.AdvanceTo(5 * Second) // in the past: no-op
-	if got := c.Now(); got != 10*Second {
-		t.Fatalf("AdvanceTo(past) moved clock backwards to %v", got)
-	}
-	c.AdvanceTo(20 * Second)
-	if got := c.Now(); got != 20*Second {
-		t.Fatalf("AdvanceTo(future) = %v, want 20s", got)
-	}
-}
-
-func TestClockReset(t *testing.T) {
-	c := NewClock(0)
-	c.Advance(Minute)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset did not rewind clock: %v", c.Now())
+	l := NewEventLoop(10 * Second)
+	var at []Time
+	l.Schedule(5*Second, func() { at = append(at, l.Now()) }) // in the past: clamped
+	l.Schedule(20*Second, func() { at = append(at, l.Now()) })
+	l.Run()
+	if len(at) != 2 || at[0] != 10*Second || at[1] != 20*Second {
+		t.Fatalf("events fired at %v, want [10s 20s]", at)
 	}
 }
 
 func TestDurationConversion(t *testing.T) {
-	if got := Duration(1500 * time.Millisecond); got != 1500*Millisecond {
-		t.Fatalf("Duration conversion = %v", got)
-	}
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Fatalf("Seconds() = %v, want 2", got)
+	}
+	if got := (1500 * Millisecond).String(); got != "1.5s" {
+		t.Fatalf("String() = %q, want 1.5s", got)
 	}
 }
 
@@ -208,44 +202,12 @@ func TestNormalClamped(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	r := NewRNG(10)
-	for i := 0; i < 10000; i++ {
-		v := r.Uniform(3, 9)
-		if v < 3 || v >= 9 {
-			t.Fatalf("Uniform(3,9) = %v out of range", v)
-		}
-	}
-}
-
 func TestParetoMinimum(t *testing.T) {
 	r := NewRNG(11)
 	for i := 0; i < 10000; i++ {
 		if v := r.Pareto(2, 1.5); v < 2 {
 			t.Fatalf("Pareto(2, 1.5) = %v below xm", v)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(12)
-	f := func(n uint8) bool {
-		m := int(n % 64)
-		p := r.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -285,21 +247,6 @@ func TestZipfPanics(t *testing.T) {
 			NewZipf(r, tc.n, tc.s)
 		}()
 	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := NewRNG(15)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 45 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-	_ = orig
 }
 
 func BenchmarkRNGUint64(b *testing.B) {

@@ -164,93 +164,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Skewness returns the sample skewness (g1).
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m3 / math.Pow(m2, 1.5)
-}
-
-// Kurtosis returns the sample excess kurtosis (g2).
-func Kurtosis(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 4 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m4/(m2*m2) - 3
-}
-
-// BimodalityCoefficient returns Sarle's bimodality coefficient
-// BC = (g1²+1) / (g2 + 3(n-1)²/((n-2)(n-3))). Values above ~0.555
-// (the uniform distribution's BC) suggest more than one mode — the
-// quantitative form of "the histogram has two peaks, do not report a
-// mean".
-func BimodalityCoefficient(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 4 {
-		return 0
-	}
-	g1 := Skewness(xs)
-	g2 := Kurtosis(xs)
-	denom := g2 + 3*(n-1)*(n-1)/((n-2)*(n-3))
-	if denom == 0 {
-		return 0
-	}
-	return (g1*g1 + 1) / denom
-}
-
-// BimodalityThreshold is the BC value of the uniform distribution;
-// samples above it are flagged multi-modal.
-const BimodalityThreshold = 5.0 / 9.0
-
-// Autocorrelation returns the lag-k autocorrelation coefficient.
-func Autocorrelation(xs []float64, k int) float64 {
-	n := len(xs)
-	if k <= 0 || k >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i+k < n; i++ {
-		num += (xs[i] - m) * (xs[i+k] - m)
-	}
-	return num / den
-}
-
 // LinearRegression fits y = intercept + slope*x by least squares and
 // returns the fit along with r².
 func LinearRegression(x, y []float64) (slope, intercept, r2 float64) {

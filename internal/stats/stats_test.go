@@ -249,67 +249,6 @@ func TestMannWhitneyTies(t *testing.T) {
 	}
 }
 
-func TestSkewKurtosis(t *testing.T) {
-	rng := sim.NewRNG(5)
-	sym := make([]float64, 5000)
-	for i := range sym {
-		sym[i] = rng.NormFloat64()
-	}
-	if s := Skewness(sym); math.Abs(s) > 0.1 {
-		t.Errorf("normal skewness = %v, want ~0", s)
-	}
-	if k := Kurtosis(sym); math.Abs(k) > 0.25 {
-		t.Errorf("normal excess kurtosis = %v, want ~0", k)
-	}
-	skewed := make([]float64, 5000)
-	for i := range skewed {
-		skewed[i] = rng.Pareto(1, 1.5)
-	}
-	if s := Skewness(skewed); s < 1 {
-		t.Errorf("Pareto skewness = %v, want strongly positive", s)
-	}
-}
-
-func TestBimodalityCoefficient(t *testing.T) {
-	rng := sim.NewRNG(6)
-	uni := make([]float64, 2000)
-	for i := range uni {
-		uni[i] = rng.Normal(100, 5)
-	}
-	if bc := BimodalityCoefficient(uni); bc > BimodalityThreshold {
-		t.Errorf("unimodal BC = %v, above threshold %v", bc, BimodalityThreshold)
-	}
-	bi := make([]float64, 2000)
-	for i := range bi {
-		if i%2 == 0 {
-			bi[i] = rng.Normal(4, 1) // memory peak (µs)
-		} else {
-			bi[i] = rng.Normal(8000, 1000) // disk peak (µs)
-		}
-	}
-	if bc := BimodalityCoefficient(bi); bc <= BimodalityThreshold {
-		t.Errorf("bimodal BC = %v, want > %v", bc, BimodalityThreshold)
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// Alternating series: strong negative lag-1 autocorrelation.
-	alt := make([]float64, 100)
-	for i := range alt {
-		alt[i] = float64(i % 2)
-	}
-	if ac := Autocorrelation(alt, 1); ac > -0.9 {
-		t.Errorf("alternating lag-1 autocorr = %v, want ~-1", ac)
-	}
-	// Constant series: zero by convention.
-	if ac := Autocorrelation([]float64{3, 3, 3, 3}, 1); ac != 0 {
-		t.Errorf("constant autocorr = %v", ac)
-	}
-	if Autocorrelation(alt, 0) != 0 || Autocorrelation(alt, 100) != 0 {
-		t.Error("out-of-range lag not 0")
-	}
-}
-
 func TestLinearRegression(t *testing.T) {
 	x := []float64{0, 1, 2, 3, 4}
 	y := []float64{1, 3, 5, 7, 9} // y = 1 + 2x
@@ -367,25 +306,6 @@ func TestChangePointFindsShift(t *testing.T) {
 	}
 	if p > 1e-9 {
 		t.Fatalf("change point p = %v, want tiny", p)
-	}
-}
-
-func TestChangePointsMultiple(t *testing.T) {
-	rng := sim.NewRNG(9)
-	series := make([]float64, 300)
-	for i := range series {
-		level := 100.0
-		switch {
-		case i >= 200:
-			level = 300
-		case i >= 100:
-			level = 200
-		}
-		series[i] = rng.Normal(level, 5)
-	}
-	cps := ChangePoints(series, 10, 0.001)
-	if len(cps) < 2 {
-		t.Fatalf("found %d change points (%v), want 2", len(cps), cps)
 	}
 }
 

@@ -121,16 +121,3 @@ func AdHocShare(entries []Entry) float64 {
 	}
 	return 0
 }
-
-// IsolatorsFor returns the surveyed tools that isolate the given
-// dimension — the paper's observation is how short this list is for
-// most dimensions.
-func IsolatorsFor(entries []Entry, d core.Dimension) []string {
-	var out []string
-	for _, e := range entries {
-		if e.Kind == Tool && e.Dims[d] == core.Isolates {
-			out = append(out, e.Name)
-		}
-	}
-	return out
-}

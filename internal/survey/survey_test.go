@@ -76,15 +76,26 @@ func TestIsolatorsScarcity(t *testing.T) {
 	entries := Table1()
 	// The paper's point: no surveyed *tool* isolates on-disk, caching
 	// isolation is rare, and meta-data has no isolating tool at all.
-	if tools := IsolatorsFor(entries, core.DimOnDisk); len(tools) != 0 {
+	if tools := isolators(entries, core.DimOnDisk); len(tools) != 0 {
 		t.Errorf("tools isolating on-disk: %v, want none", tools)
 	}
-	if tools := IsolatorsFor(entries, core.DimMetaData); len(tools) != 0 {
+	if tools := isolators(entries, core.DimMetaData); len(tools) != 0 {
 		t.Errorf("tools isolating meta-data: %v, want none", tools)
 	}
-	if tools := IsolatorsFor(entries, core.DimIO); len(tools) == 0 {
+	if tools := isolators(entries, core.DimIO); len(tools) == 0 {
 		t.Error("no tool isolates I/O; IOmeter should")
 	}
+}
+
+// isolators returns the surveyed tools that isolate dimension d.
+func isolators(entries []Entry, d core.Dimension) []string {
+	var out []string
+	for _, e := range entries {
+		if e.Kind == Tool && e.Dims[d] == core.Isolates {
+			out = append(out, e.Name)
+		}
+	}
+	return out
 }
 
 func TestRender(t *testing.T) {

@@ -37,7 +37,7 @@ func FuzzTraceReadBinary(f *testing.F) {
 		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
+		tr, err := readAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -61,7 +61,7 @@ func FuzzTraceReadBinary(f *testing.F) {
 		if err := tr.WriteBinary(&buf); err != nil {
 			t.Fatalf("re-encode of parsed trace failed: %v", err)
 		}
-		tr2, err := ReadBinary(&buf)
+		tr2, err := readAll(&buf)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -190,26 +190,6 @@ func (e *Engine) Load() metrics.LoadGauge { return e.load }
 // traced one.
 func (e *Engine) MaxLag() sim.Time { return e.maxLag }
 
-// ErrorHist is the latency histogram of operations that failed,
-// measured from arrival to the failure return — errored ops are
-// accounted, not vanished.
-func (e *Engine) ErrorHist() *metrics.Histogram { return e.errHist }
-
-// Workers reports the total stream-worker count across tenants (the
-// engine's OwnerID space; owners are dense in [0, Workers)).
-func (e *Engine) Workers() int { return e.workers }
-
-// Span reports the longest tenant's recorded duration.
-func (e *Engine) Span() sim.Time {
-	var span sim.Time
-	for _, tn := range e.tenants {
-		if tn.scan.Span > span {
-			span = tn.scan.Span
-		}
-	}
-	return span
-}
-
 // Records reports the total record count across tenants.
 func (e *Engine) Records() int64 {
 	var n int64

@@ -97,7 +97,13 @@ func TestReplayFDCap(t *testing.T) {
 	}
 	r := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon)
 	st := r.eng.tenants[0].streams[0]
-	if got := st.fds.Len(); got != maxOpenFDs {
+	got := 0
+	for i := 0; i < files; i++ {
+		if _, ok := st.fds.Get(fmt.Sprintf("/f%03d", i)); ok {
+			got++
+		}
+	}
+	if got != maxOpenFDs {
 		t.Errorf("stream holds %d open FDs, cap is %d", got, maxOpenFDs)
 	}
 	if oldest, _ := st.fds.Oldest(); oldest != fmt.Sprintf("/f%03d", files-maxOpenFDs) {
@@ -118,8 +124,8 @@ func TestReplayCloseAndDeleteReleaseFDs(t *testing.T) {
 	}}
 	eng := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{MemorySource(tr)}}, noHorizon).eng
 	st := eng.tenants[0].streams[0]
-	if st.fds.Len() != 0 {
-		t.Errorf("stream still holds %d FDs after close+delete", st.fds.Len())
+	if p, fd := st.fds.Oldest(); fd != nil {
+		t.Errorf("stream still holds FD %q after close+delete", p)
 	}
 	if eng.Counter().Errors != 0 {
 		t.Errorf("lifecycle ops errored: %d", eng.Counter().Errors)
@@ -142,7 +148,7 @@ func TestReplayErrorAccounting(t *testing.T) {
 	if got := eng.Counter().Ops; got != 1 {
 		t.Errorf("ops = %d, want 1 (the delete)", got)
 	}
-	if got := eng.ErrorHist().Count(); got != 1 {
+	if got := eng.errHist.Count(); got != 1 {
 		t.Errorf("error histogram holds %d observations, want 1", got)
 	}
 	if got := hist.Count(); got != 1 {
@@ -198,7 +204,7 @@ func TestMultiTenantMerge(t *testing.T) {
 	src := MemorySource(tr)
 	r := runEngine(t, EngineConfig{Mode: Timed, Tenants: []Source{src, src, src}}, noHorizon)
 	eng, per := r.eng, r.per
-	if got := eng.Workers(); got != 6 {
+	if got := eng.workers; got != 6 {
 		t.Fatalf("workers = %d, want 6 (2 streams x 3 tenants)", got)
 	}
 	if got := eng.Records(); got != 9 {

@@ -60,7 +60,7 @@ func TestV2RoundTripPreservesIdentity(t *testing.T) {
 func TestTruncatedInputsFailLoudly(t *testing.T) {
 	data := encodeV2(t, identityTrace())
 	for i := 0; i < len(data); i++ {
-		if _, err := ReadBinary(bytes.NewReader(data[:i])); err == nil {
+		if _, err := readAll(bytes.NewReader(data[:i])); err == nil {
 			t.Errorf("truncated to %d of %d bytes read cleanly", i, len(data))
 		}
 	}
@@ -88,7 +88,7 @@ func TestCorruptInputsFailLoudly(t *testing.T) {
 		"count mismatch": append(append([]byte{}, magicV2[:]...), frameEnd, 9),
 	}
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if _, err := readAll(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -119,23 +119,3 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 	return tw.Close()
 }
 
-// ReadBinary decodes an FSBT v2 trace into memory. The replay path
-// does not use it — Engine streams through a Reader — but in-memory
-// traces remain convenient for tests.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	tr, err := OpenReader(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{}
-	for {
-		rec, err := tr.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
-}

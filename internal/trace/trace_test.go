@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,25 @@ import (
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
+
+// readAll decodes a whole FSBT v2 trace into memory.
+func readAll(r io.Reader) (*Trace, error) {
+	tr, err := OpenReader(r)
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{}
+	for {
+		rec, err := tr.Next()
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		t.Records = append(t.Records, rec)
+	}
+}
 
 func testMount(t testing.TB) *vfs.Mount {
 	t.Helper()
@@ -43,7 +63,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := orig.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +78,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a trace")); err == nil {
+	if _, err := readAll(strings.NewReader("not a trace")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadBinary(strings.NewReader("")); err == nil {
+	if _, err := readAll(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -91,7 +111,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := tr.WriteBinary(&buf); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := readAll(&buf)
 		if err != nil || len(got.Records) != len(tr.Records) {
 			return false
 		}

@@ -15,9 +15,6 @@ type FDTable struct {
 // the bound a real process's rlimit imposes.
 func NewFDTable(max int) FDTable { return FDTable{max: max} }
 
-// Len reports the number of open handles.
-func (t *FDTable) Len() int { return len(t.fds) }
-
 // Get returns the handle for path, if one is open.
 func (t *FDTable) Get(path string) (*FD, bool) {
 	fd, ok := t.fds[path]

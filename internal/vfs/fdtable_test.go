@@ -11,8 +11,8 @@ func TestFDTableCapAndOrder(t *testing.T) {
 	for _, p := range []string{"/a", "/b", "/c"} {
 		fds.Add(p, mkFile(t, m, p, 0))
 	}
-	if _, ok := fds.Get("/a"); ok || fds.Len() != 2 {
-		t.Fatalf("capped table holds %d handles, /a present %v; want 2, /a closed", fds.Len(), ok)
+	if _, ok := fds.Get("/a"); ok || len(fds.fds) != 2 {
+		t.Fatalf("capped table holds %d handles, /a present %v; want 2, /a closed", len(fds.fds), ok)
 	}
 	if p, _ := fds.Oldest(); p != "/b" {
 		t.Errorf("oldest = %q, want /b", p)
@@ -24,7 +24,7 @@ func TestFDTableCapAndOrder(t *testing.T) {
 	}
 	fds.Drop("/c")
 	fds.Close("/b")
-	if p, fd := fds.Oldest(); fds.Len() != 0 || fd != nil {
-		t.Errorf("after drop and close: %d handles, oldest %q", fds.Len(), p)
+	if p, fd := fds.Oldest(); len(fds.fds) != 0 || fd != nil {
+		t.Errorf("after drop and close: %d handles, oldest %q", len(fds.fds), p)
 	}
 }

@@ -218,9 +218,6 @@ func (m *Mount) DropCaches() {
 	}
 }
 
-// Readahead exposes the active readahead policy.
-func (m *Mount) Readahead() cache.Readahead { return m.ra }
-
 // --- Event mode ------------------------------------------------------
 
 // Submitter is where event-mode submissions go. *device.Queue
@@ -306,9 +303,6 @@ func (m *Mount) EndEvents() device.QueueStats {
 	m.dirtyWait = sim.WaitList{}
 	return stats
 }
-
-// Queue exposes the event-mode device queue (nil in immediate mode).
-func (m *Mount) Queue() *device.Queue { return m.queue }
 
 // SetProc binds subsequent operations to process p, submitting I/O as
 // the given requester identity (a positive owner id; the engine uses

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/cache"
@@ -135,7 +136,7 @@ func TestSequentialReadaheadHelps(t *testing.T) {
 			order[i] = int64(i)
 		}
 		if !sequential {
-			sim.NewRNG(5).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			rand.New(rand.NewPCG(5, 5)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
 		start := now
 		for _, p := range order {

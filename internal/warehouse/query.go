@@ -61,24 +61,6 @@ func (s Set) GroupBy(key func(Record) string) map[string]Set {
 	return out
 }
 
-// ByFingerprint groups by config fingerprint — the pooling unit: all
-// records in one group measured the same configuration.
-func (s Set) ByFingerprint() map[string]Set {
-	return s.GroupBy(func(r Record) string { return r.Fingerprint })
-}
-
-// ByName groups by experiment name.
-func (s Set) ByName() map[string]Set {
-	return s.GroupBy(func(r Record) string { return r.Name })
-}
-
-// SortByTime orders the set oldest-first (stable), returning it for
-// chaining.
-func (s Set) SortByTime() Set {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].Time.Before(s[j].Time) })
-	return s
-}
-
 // Runs reports the total number of archived runs (not records).
 func (s Set) Runs() int {
 	n := 0

@@ -299,9 +299,9 @@ func TestQueryLayer(t *testing.T) {
 		t.Errorf("conjunctive filter = %d records", len(got))
 	}
 
-	groups := set.ByFingerprint()
+	groups := set.GroupBy(func(r Record) string { return r.Fingerprint })
 	if len(groups) != 4 || len(groups["fp1"]) != 1 {
-		t.Errorf("ByFingerprint groups = %d", len(groups))
+		t.Errorf("fingerprint groups = %d", len(groups))
 	}
 
 	if got, want := set.Runs(), 5; got != want {

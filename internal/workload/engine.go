@@ -38,10 +38,6 @@ type Probe struct {
 // engines (trace replay) share with the workload engine's execOp. A
 // nil probe is a no-op.
 func (p *Probe) Observe(owner int, kind OpKind, path string, offset, size int64, start, done sim.Time) {
-	p.record(owner, kind, path, offset, size, start, done)
-}
-
-func (p *Probe) record(owner int, kind OpKind, path string, offset, size int64, start, done sim.Time) {
 	if p == nil {
 		return
 	}
@@ -237,9 +233,6 @@ func (e *Engine) Counter() metrics.Counter { return e.counter }
 // during Run. It stays zero-valued for purely closed-loop workloads,
 // whose arrivals are gated by completions and cannot diverge.
 func (e *Engine) Load() metrics.LoadGauge { return e.load }
-
-// Mount exposes the mount under test.
-func (e *Engine) Mount() *vfs.Mount { return e.m }
 
 // Setup creates the filesets (directories, preallocated files) and
 // flushes all dirty state so the measured phase starts from a clean,
@@ -770,7 +763,7 @@ func (e *Engine) execOp(th *threadState, op Flowop) error {
 		// saturation signal a closed loop self-throttles away.
 		recStart = th.arrival
 	}
-	e.probe.record(th.owner, op.Kind, tPath, tOff, moved, recStart, done)
+	e.probe.Observe(th.owner, op.Kind, tPath, tOff, moved, recStart, done)
 	th.now = done
 	return nil
 }

@@ -187,18 +187,6 @@ func newPartitioned(mounts []*vfs.Mount, w *Workload, seed uint64) (*ShardedEngi
 	return se, nil
 }
 
-// NumShards reports the shard count.
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
-
-// Mounts returns each shard's mount in shard order.
-func (se *ShardedEngine) Mounts() []*vfs.Mount {
-	out := make([]*vfs.Mount, len(se.shards))
-	for i, sh := range se.shards {
-		out[i] = sh.m
-	}
-	return out
-}
-
 // SetProbe installs the measurement probe. During Run each shard
 // records into a private clone; the clones merge back into p when the
 // run completes. Probe.Trace is unsupported at shards>1 — a global

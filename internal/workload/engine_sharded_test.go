@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -42,10 +43,14 @@ func shardedRunFingerprint(t *testing.T, w *Workload, n int, seed uint64) string
 	c := se.Counter()
 	g := se.Load()
 	qs := se.QueueStats()
-	fp := fmt.Sprintf("end=%d ops=%d errs=%d bytes=%d load=%d/%d/%d q=%d/%d/%d wait=%d histc=%d histmin=%d histmax=%d",
+	histJSON, err := json.Marshal(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := fmt.Sprintf("end=%d ops=%d errs=%d bytes=%d load=%d/%d/%d q=%d/%d/%d wait=%d hist=%s",
 		end, c.Ops, c.Errors, c.Bytes, g.Offered, g.Completed, g.BacklogPeak,
 		qs.Submitted, qs.Completed, qs.MaxQueued, qs.Wait,
-		hist.Count(), hist.Min(), hist.Max())
+		histJSON)
 	for i := 0; i < series.Buckets(); i++ {
 		fp += fmt.Sprintf(" s%d=%d", i, series.Count(i))
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -109,13 +110,13 @@ func TestOpenLoopDeterministic(t *testing.T) {
 	run := func() string {
 		e, hist, _ := openLoopRun(t, OpenLoopRead(4<<20, 2048, 4, 6000), 53, 2*sim.Second)
 		load := e.Load()
-		fp := fmt.Sprintf("ops=%d bytes=%d off=%d done=%d peak=%d hist=%d/%d/%d",
-			e.Counter().Ops, e.Counter().Bytes, load.Offered, load.Completed,
-			load.BacklogPeak, hist.Count(), hist.Min(), hist.Max())
-		for b := 0; b < metrics.NumBuckets; b++ {
-			fp += fmt.Sprintf(",%d", hist.BucketCount(b))
+		histJSON, err := json.Marshal(hist)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return fp
+		return fmt.Sprintf("ops=%d bytes=%d off=%d done=%d peak=%d hist=%s",
+			e.Counter().Ops, e.Counter().Bytes, load.Offered, load.Completed,
+			load.BacklogPeak, histJSON)
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed open-loop runs differ:\n%s\nvs\n%s", a, b)

@@ -73,7 +73,7 @@ func TestRandomReadRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := &metrics.Histogram{}
-	series := metrics.NewTimeSeries(sim.Second)
+	series := metrics.NewTimeSeriesOffset(sim.Second, 0)
 	e.SetProbe(&Probe{Hist: hist, Series: series})
 	start, err := e.Setup(0)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestRandomReadRuns(t *testing.T) {
 	if e.Counter().Ops < 1000 {
 		t.Fatalf("only %d ops in 10s", e.Counter().Ops)
 	}
-	if hist.Count() == 0 || series.Total() == 0 {
+	if hist.Count() == 0 || series.Buckets() == 0 {
 		t.Fatal("probe recorded nothing")
 	}
 	if e.Counter().Errors != 0 {
