@@ -57,7 +57,7 @@ func keyOf(fn *types.Func) funcKey {
 
 // deadIndex is what the rule knows about the whole module: which
 // functions are referenced from non-test and from test files, and
-// every interface in reach, by method name.
+// every interface non-test code can reach, by method name.
 type deadIndex struct {
 	used, testUsed map[funcKey]bool
 	ifaces         map[string][]*types.Interface
@@ -87,7 +87,8 @@ func prepareDeadAPI(fset *token.FileSet, module []*Package) any {
 		seenPkg[pkg] = true
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if ok && !strings.HasSuffix(fset.Position(tn.Pos()).Filename, "_test.go") {
 				addIface(tn.Type())
 			}
 		}
@@ -97,21 +98,24 @@ func prepareDeadAPI(fset *token.FileSet, module []*Package) any {
 	}
 	for _, pkg := range module {
 		for _, unit := range pkg.Units {
-			addPkg(unit.Pkg)
-			for _, tv := range unit.Info.Types {
-				if tv.Type != nil {
-					addIface(tv.Type)
-				}
+			if !unit.XTest {
+				addPkg(unit.Pkg)
 			}
 			for _, f := range unit.Files {
+				test := isTestFile(fset, f)
 				refs := idx.used
-				if isTestFile(fset, f) {
+				if test {
 					refs = idx.testUsed
 				}
 				ast.Inspect(f, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if fn, ok := unit.Info.Uses[id].(*types.Func); ok {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if fn, ok := unit.Info.Uses[n].(*types.Func); ok {
 							refs[keyOf(fn)] = true
+						}
+					case *ast.InterfaceType: // inline, as in x.(interface{ M() })
+						if !test {
+							addIface(unit.Info.TypeOf(n))
 						}
 					}
 					return true

@@ -37,6 +37,13 @@ type Shape interface {
 // matter): called through the interface, so exempt.
 func (T) Area(s float64) float64 { return s }
 
+// Volume is called through an inline interface in package b: exempt.
+func (T) Volume() float64 { return 0 }
+
+// Depth satisfies only an interface declared in a test file, which no
+// non-test code can call it through.
+func (T) Depth() int { return 0 } // want "T.Depth is never referenced"
+
 // Perimeter shares no interface and has no caller.
 func (T) Perimeter() float64 { return 0 } // want "T.Perimeter is never referenced"
 

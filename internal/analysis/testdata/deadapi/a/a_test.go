@@ -7,3 +7,7 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly")
 	}
 }
+
+type depther interface{ Depth() int }
+
+var _ depther = T{}

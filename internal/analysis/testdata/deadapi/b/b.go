@@ -10,4 +10,7 @@ func Exported() {}
 func main() {
 	a.Used()
 	a.T{}.UsedMethod()
+	if v, ok := any(a.T{}).(interface{ Volume() float64 }); ok {
+		_ = v.Volume()
+	}
 }
