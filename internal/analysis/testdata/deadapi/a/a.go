@@ -54,5 +54,3 @@ func Ignored() {}
 
 // unexported is not API.
 func unexported() {}
-
-var _ = unexported

@@ -90,14 +90,15 @@ func TestSetupModesAgreeOnRAMDisk(t *testing.T) {
 }
 
 // measure drops the caches, zeroes the counters and runs the measured
-// phase from start, returning everything it observed as one string.
+// phase (200 ms of virtual time, thousands of ops on a ramdisk) from
+// start, returning everything it observed as one string.
 func measure(t *testing.T, m *vfs.Mount, e *workload.Engine, start sim.Time) string {
 	t.Helper()
 	m.DropCaches()
 	m.ResetStats()
 	hist := &metrics.Histogram{}
 	e.SetProbe(&workload.Probe{Hist: hist})
-	if _, err := e.Run(start, start+sim.Second); err != nil {
+	if _, err := e.Run(start, start+200*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	h, err := json.Marshal(hist)

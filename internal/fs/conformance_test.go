@@ -462,4 +462,3 @@ func TestExt2IndirectMetadataCharged(t *testing.T) {
 		t.Errorf("contiguous xfs map charged %d meta steps, want 0 (inline extents)", len(xsteps))
 	}
 }
-

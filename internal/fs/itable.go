@@ -50,4 +50,3 @@ func (t *InodeTable) Del(ino Ino) { delete(t.nodes, ino) }
 
 // Block returns the disk block holding ino's on-disk record.
 func (t *InodeTable) Block(ino Ino) int64 { return t.blockOf(ino) }
-

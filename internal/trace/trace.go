@@ -118,4 +118,3 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 	}
 	return tw.Close()
 }
-
