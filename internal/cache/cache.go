@@ -85,6 +85,9 @@ type Cache struct {
 	// promises. FIFO order is also what real kernels approximate
 	// (oldest-dirtied first).
 	dirtied queue
+	// evicted is evictTo's reused result buffer: the slice Insert,
+	// InsertPrefetched and Resize return.
+	evicted []Evicted
 }
 
 // New returns a cache holding capacityPages pages under the given
@@ -156,13 +159,17 @@ func (c *Cache) Lookup(id PageID) bool {
 
 // Insert makes id resident (typically right after a miss was served
 // from the device) and returns any pages evicted to make room. If the
-// page is already resident the call only updates its dirty bit.
+// page is already resident the call only updates its dirty bit. The
+// returned slice is the cache's own buffer: it is valid only until the
+// cache's next Insert, InsertPrefetched or Resize, so consume it (or
+// copy it) before inserting again.
 func (c *Cache) Insert(id PageID, dirty bool) []Evicted {
 	return c.insert(id, dirty, false)
 }
 
 // InsertPrefetched inserts a page fetched by readahead. It is counted
-// separately so prefetch efficacy is measurable.
+// separately so prefetch efficacy is measurable. Its result is valid
+// as long as Insert's.
 func (c *Cache) InsertPrefetched(id PageID) []Evicted {
 	c.stats.Prefetches++
 	return c.insert(id, false, true)
@@ -190,9 +197,9 @@ func (c *Cache) insert(id PageID, dirty, prefetched bool) []Evicted {
 }
 
 // evictTo evicts the policy's victims until at most limit pages
-// remain, and returns them.
+// remain, and returns them in the cache's reused buffer.
 func (c *Cache) evictTo(limit int) []Evicted {
-	var evicted []Evicted
+	evicted := c.evicted[:0]
 	for c.pages.len() > limit {
 		victim, ok := c.policy.Victim()
 		if !ok {
@@ -214,6 +221,7 @@ func (c *Cache) evictTo(limit int) []Evicted {
 		c.dropWriteback(vm)
 		c.pages.del(victim)
 	}
+	c.evicted = evicted
 	return evicted
 }
 
@@ -351,7 +359,7 @@ func (c *Cache) InvalidateFile(file uint64) int {
 }
 
 // Resize changes capacity, evicting as needed, and returns the evicted
-// pages.
+// pages, valid as long as Insert's result.
 //
 //fslint:ignore deadapi TestPolicyBehaviourDigest shrinks and grows L1 through it; its pinned digest covers eviction order under a capacity change
 func (c *Cache) Resize(capacityPages int) []Evicted {

@@ -599,3 +599,54 @@ func TestEvictionRejectsNonResidentVictim(t *testing.T) {
 		})
 	}
 }
+
+// TestInsertEvictAllocFree pins the steady-state insert into a full
+// cache at zero allocations, under every policy: each fresh insert
+// evicts one page, and the eviction comes back in the cache's reused
+// buffer instead of a fresh slice. Pages cycle through twice the
+// capacity, so the page table recycles its slots.
+func TestInsertEvictAllocFree(t *testing.T) {
+	for _, name := range []string{"lru", "fifo", "clock", "random", "arc", "2q"} {
+		t.Run(name, func(t *testing.T) {
+			pol, err := NewPolicy(name, sim.NewRNG(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const capacity = 64
+			c := New(capacity, pol)
+			next := int64(0)
+			insert := func() {
+				id := page(1+uint64(next%8), next/8%(2*capacity/8))
+				next++
+				fresh := c.Len() == capacity && !c.Contains(id)
+				if ev := c.Insert(id, next%4 == 0); fresh && len(ev) != 1 {
+					t.Fatalf("fresh insert into a full cache evicted %d pages, want 1", len(ev))
+				}
+			}
+			for i := 0; i < 8*capacity; i++ {
+				insert()
+			}
+			if allocs := testing.AllocsPerRun(200, insert); allocs != 0 {
+				t.Fatalf("evicting insert allocated %.2f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestHierarchyInsertAllocFree extends the pin through a two-level
+// hierarchy: clean L1 victims demote into a full L2, dirty ones come
+// back in the hierarchy's reused buffer.
+func TestHierarchyInsertAllocFree(t *testing.T) {
+	h := NewHierarchy(New(32, NewLRU()), New(32, NewLRU()))
+	next := int64(0)
+	insert := func() {
+		h.Insert(page(1, next%256), next%3 == 0)
+		next++
+	}
+	for i := 0; i < 512; i++ {
+		insert()
+	}
+	if allocs := testing.AllocsPerRun(200, insert); allocs != 0 {
+		t.Fatalf("hierarchy insert allocated %.2f objects/op, want 0", allocs)
+	}
+}

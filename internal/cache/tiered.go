@@ -31,6 +31,8 @@ func (l Level) String() string {
 type Hierarchy struct {
 	L1 *Cache
 	L2 *Cache // nil for a single-level hierarchy
+	// dirty is demote's reused result buffer.
+	dirty []Evicted
 }
 
 // NewHierarchy builds a hierarchy; l2 may be nil.
@@ -61,7 +63,9 @@ func (h *Hierarchy) Lookup(id PageID) Level {
 
 // Insert places a freshly read (or written) page into L1, demoting
 // clean victims into L2 and returning dirty victims that the caller
-// must write back.
+// must write back. As with Cache.Insert, the returned slice is reused:
+// it is valid only until the hierarchy's next Insert, InsertPrefetched
+// or Lookup.
 func (h *Hierarchy) Insert(id PageID, dirty bool) []Evicted {
 	return h.demote(h.L1.Insert(id, dirty))
 }
@@ -78,7 +82,7 @@ func (h *Hierarchy) demote(evicted []Evicted) []Evicted {
 	if h.L2 == nil || len(evicted) == 0 {
 		return evicted
 	}
-	var dirty []Evicted
+	dirty := h.dirty[:0]
 	for _, ev := range evicted {
 		if ev.Dirty {
 			dirty = append(dirty, ev)
@@ -90,6 +94,7 @@ func (h *Hierarchy) demote(evicted []Evicted) []Evicted {
 			}
 		}
 	}
+	h.dirty = dirty
 	return dirty
 }
 

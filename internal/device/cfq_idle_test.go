@@ -23,12 +23,12 @@ func deceptiveIdleness(t *testing.T, schedName string) (sim.Time, string, QueueS
 	// well inside cfq-idle's grace, invisible to plain cfq. Submitted
 	// first so owner 1 heads the service ring.
 	const think = sim.Millisecond
-	var next func(i int) func(done sim.Time, err error)
+	var next func(i int) Completer
 	submit := func(at sim.Time, i int) {
 		q.Submit(at, Request{Op: Read, LBA: int64(i) * 64, Sectors: 8, Owner: 1}, next(i))
 	}
-	next = func(i int) func(done sim.Time, err error) {
-		return func(done sim.Time, err error) {
+	next = func(i int) Completer {
+		return CompleteFunc(func(done sim.Time, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func deceptiveIdleness(t *testing.T, schedName string) (sim.Time, string, QueueS
 			if i+1 < 20 {
 				loop.Schedule(done+think, func() { submit(loop.Now(), i+1) })
 			}
-		}
+		})
 	}
 	submit(0, 0)
 
@@ -48,12 +48,12 @@ func deceptiveIdleness(t *testing.T, schedName string) (sim.Time, string, QueueS
 	for i := 0; i < 24; i++ {
 		lba := int64(1+i*7919%97) * 3_000_000
 		q.Submit(0, Request{Op: Read, LBA: lba, Sectors: 8, Owner: 2},
-			func(done sim.Time, err error) {
+			CompleteFunc(func(done sim.Time, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
 				trace += fmt.Sprintf("b@%d ", done)
-			})
+			}))
 	}
 
 	loop.Run()
@@ -105,13 +105,13 @@ func TestCFQIdleDeterministic(t *testing.T) {
 func TestCFQIdleGraceExpiryReleasesSlice(t *testing.T) {
 	q, loop := mkQueue(t, SchedCFQIdle, 8)
 	var order []string
-	done := func(tag string) func(sim.Time, error) {
-		return func(d sim.Time, err error) {
+	done := func(tag string) Completer {
+		return CompleteFunc(func(d sim.Time, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			order = append(order, fmt.Sprintf("%s@%d", tag, d))
-		}
+		})
 	}
 	// Owner 1 submits exactly one request and departs. Owner 2's
 	// request arrives while the device is busy serving owner 1, then

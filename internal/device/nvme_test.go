@@ -165,14 +165,14 @@ func TestQueueDispatchesWhileChannelsFree(t *testing.T) {
 		q, loop := mkNVMeQueue(t, channels, 32, SchedFCFS)
 		for i := 0; i < 64; i++ {
 			q.Submit(0, Request{Op: Read, LBA: int64(i) * 4096, Sectors: 8},
-				func(done sim.Time, err error) {
+				CompleteFunc(func(done sim.Time, err error) {
 					if err != nil {
 						t.Fatal(err)
 					}
 					if done > last {
 						last = done
 					}
-				})
+				}))
 			if q.inflight > peak {
 				peak = q.inflight
 			}
@@ -207,12 +207,12 @@ func TestQueueSchedulersDrainMultiQueue(t *testing.T) {
 		n := 0
 		for i := 0; i < 50; i++ {
 			q.Submit(0, Request{Op: Read, LBA: int64(i) * 999, Sectors: 8, Owner: 1 + i%3},
-				func(done sim.Time, err error) {
+				CompleteFunc(func(done sim.Time, err error) {
 					if err != nil {
 						t.Fatal(err)
 					}
 					n++
-				})
+				}))
 		}
 		loop.Run()
 		if n != 50 {
@@ -236,9 +236,9 @@ func TestQueueMultiQueueDeterminism(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			lba := rng.Int63n(1 << 20)
 			q.Submit(loop.Now(), Request{Op: Read, LBA: lba, Sectors: 8},
-				func(done sim.Time, err error) {
+				CompleteFunc(func(done sim.Time, err error) {
 					trace += fmt.Sprintf("%d@%d ", lba, done)
-				})
+				}))
 		}
 		loop.Run()
 		return trace
@@ -271,12 +271,12 @@ func TestQueueKickRedispatches(t *testing.T) {
 	loop := sim.NewEventLoop(0)
 	q := NewQueue(mkNVMe(1, 1), g, 8, loop)
 	var done sim.Time
-	q.Submit(0, Request{Op: Read, LBA: 0, Sectors: 8}, func(d sim.Time, err error) {
+	q.Submit(0, Request{Op: Read, LBA: 0, Sectors: 8}, CompleteFunc(func(d sim.Time, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		done = d
-	})
+	}))
 	const idle = 5 * sim.Millisecond
 	loop.Schedule(idle, func() { g.open = true })
 	q.Kick(idle)

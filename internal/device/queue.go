@@ -39,6 +39,12 @@ type MultiQueue interface {
 // and a multi-channel device drains a burst K-wide while a disk chews
 // through it serially.
 //
+// Completions reach submitters through a Completer, the only
+// completion path. The Queue owns each IORequest from submission until
+// finish and recycles it through a free list, so the steady-state
+// submit→dispatch→complete cycle allocates nothing; a Completer must
+// not keep the IORequest (DESIGN.md §3.1).
+//
 // Like everything under the event kernel, Queue is not locked: the
 // kernel's one-baton discipline serializes all accesses (DESIGN.md
 // §4.2).
@@ -65,6 +71,8 @@ type Queue struct {
 	head        int64 // LBA just past the last dispatched transfer
 	seq         uint64
 	stats       QueueStats
+	// free holds finished IORequests for reuse by submit.
+	free sim.FreeList[IORequest]
 }
 
 // QueueStats counts queue-level events. Wait sums time from submission
@@ -167,9 +175,9 @@ func (q *Queue) queued() int {
 
 // Submit enqueues one request at virtual time at (clamped to the
 // loop's now — arrivals cannot predate the present). done, when
-// non-nil, is invoked in loop context at the request's completion time;
-// fire-and-forget submissions pass nil.
-func (q *Queue) Submit(at sim.Time, req Request, done func(sim.Time, error)) {
+// non-nil, is completed in loop context at the request's completion
+// time; fire-and-forget submissions pass nil.
+func (q *Queue) Submit(at sim.Time, req Request, done Completer) {
 	q.submit(at, req, done, nil)
 }
 
@@ -188,15 +196,16 @@ type RemoteSender func(at sim.Time, fn func())
 // time it would have in a single-loop run. Only requests that error
 // at dispatch (validation, injected faults) complete through the
 // clamped path, one lookahead late.
-func (q *Queue) SubmitRemote(at sim.Time, req Request, send RemoteSender, done func(sim.Time, error)) {
+func (q *Queue) SubmitRemote(at sim.Time, req Request, send RemoteSender, done Completer) {
 	q.submit(at, req, done, send)
 }
 
-func (q *Queue) submit(at sim.Time, req Request, done func(sim.Time, error), remote RemoteSender) {
+func (q *Queue) submit(at sim.Time, req Request, done Completer, remote RemoteSender) {
 	if now := q.loop.Now(); at < now {
 		at = now
 	}
-	r := &IORequest{Req: req, At: at, Seq: q.seq, Done: done, queue: q, remote: remote}
+	r := q.free.Get()
+	*r = IORequest{Req: req, At: at, Seq: q.seq, Done: done, queue: q, remote: remote}
 	q.seq++
 	q.stats.Submitted++
 	if q.sched.Len() < q.depth {
@@ -249,9 +258,10 @@ type IdleHint interface {
 // fail validation complete with the error at the same instant and
 // consume no device time or service slot. Their completion is
 // scheduled, not invoked inline: dispatch can run in submitter context
-// (inside Submit), and the Done contract promises loop context — a
-// callback that unparks the submitting process would otherwise
-// deadlock.
+// (inside Submit), and the Completer contract promises loop context —
+// a completion that unparks the submitting process would otherwise
+// deadlock. The scheduled finish holds the request, so it stays out
+// of the free list until then.
 func (q *Queue) dispatch(now sim.Time) {
 	for q.inflight < q.width {
 		r := q.sched.Pop(now, q.head)
@@ -271,7 +281,10 @@ func (q *Queue) dispatch(now sim.Time) {
 		if err != nil {
 			q.stats.Errors++
 			if r.remote != nil {
+				// The mailed completion holds no reference to r, and no
+				// local event will: recycle it at once.
 				r.sendRemote(now, err)
+				q.free.Put(r)
 			} else {
 				q.loop.Schedule(now, func() { q.finish(r, now, err) })
 			}
@@ -297,7 +310,7 @@ func (r *IORequest) sendRemote(done sim.Time, err error) {
 		return
 	}
 	cb := r.Done
-	r.remote(done, func() { cb(done, err) })
+	r.remote(done, func() { cb.Complete(done, err) })
 }
 
 // admit moves the oldest backlog entry into the freed window slot.
@@ -325,7 +338,7 @@ func (q *Queue) admit() {
 }
 
 // complete ends one in-service request, refills the freed service
-// slot, and only then runs the completion callback — so a woken
+// slot, and only then completes the request — so a woken
 // submitter observes a queue that has already moved on, as a real
 // interrupt handler would.
 func (q *Queue) complete(r *IORequest, err error) {
@@ -335,20 +348,23 @@ func (q *Queue) complete(r *IORequest, err error) {
 	q.finish(r, now, err)
 }
 
-// finish runs the completion callback. Only successful requests count
-// as Completed; device-rejected ones were already counted under
-// Errors at dispatch.
+// finish recycles r and then completes it. Only successful requests
+// count as Completed; device-rejected ones were already counted under
+// Errors at dispatch. The completer is read out before r returns to
+// the free list, so a Completer that submits again may reuse r.
 func (q *Queue) finish(r *IORequest, at sim.Time, err error) {
 	if err == nil {
 		q.stats.Completed++
 		q.stats.ownerAdd(r.Req.Owner, 0, 1)
 	}
+	done := r.Done
 	if r.remote != nil {
 		// The completion was already mailed to the owning shard at
 		// dispatch; only the local bookkeeping above runs here.
-		return
+		done = nil
 	}
-	if r.Done != nil {
-		r.Done(at, err)
+	q.free.Put(r)
+	if done != nil {
+		done.Complete(at, err)
 	}
 }

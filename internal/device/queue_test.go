@@ -55,12 +55,12 @@ func completionOrder(t *testing.T, schedName string, depth int, lbas []int64) []
 	var order []int64
 	for _, lba := range lbas {
 		lba := lba
-		q.Submit(0, Request{Op: Read, LBA: lba, Sectors: 8}, func(done sim.Time, err error) {
+		q.Submit(0, Request{Op: Read, LBA: lba, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			order = append(order, lba)
-		})
+		}))
 	}
 	loop.Run()
 	if pending(q) != 0 {
@@ -102,9 +102,9 @@ func TestElevatorWrapsCLook(t *testing.T) {
 	q, loop := mkQueue(t, SchedElevator, 32)
 	var order []int64
 	submit := func(lba int64) {
-		q.Submit(0, Request{Op: Read, LBA: lba, Sectors: 8}, func(done sim.Time, err error) {
+		q.Submit(0, Request{Op: Read, LBA: lba, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 			order = append(order, lba)
-		})
+		}))
 	}
 	submit(900000) // dispatches immediately, head -> 900008
 	submit(300)
@@ -120,9 +120,9 @@ func TestNCQPicksNearest(t *testing.T) {
 	q, loop := mkQueue(t, SchedNCQ, 32)
 	var order []int64
 	submit := func(lba int64) {
-		q.Submit(0, Request{Op: Read, LBA: lba, Sectors: 8}, func(done sim.Time, err error) {
+		q.Submit(0, Request{Op: Read, LBA: lba, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 			order = append(order, lba)
-		})
+		}))
 	}
 	submit(500000) // dispatches immediately, head -> 500008
 	submit(100)    // far
@@ -138,19 +138,19 @@ func TestNCQAntiStarvation(t *testing.T) {
 	// steady stream of near requests.
 	q, loop := mkQueue(t, SchedNCQ, 64)
 	var farDone sim.Time
-	q.Submit(0, Request{Op: Read, LBA: 1, Sectors: 8}, func(done sim.Time, err error) {})
-	q.Submit(0, Request{Op: Read, LBA: 400_000_000, Sectors: 8}, func(done sim.Time, err error) {
+	q.Submit(0, Request{Op: Read, LBA: 1, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {}))
+	q.Submit(0, Request{Op: Read, LBA: 400_000_000, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 		farDone = done
-	})
+	}))
 	// Feed near-LBA requests for a long time.
 	var feed func(i int)
 	feed = func(i int) {
 		if i >= 400 {
 			return
 		}
-		q.Submit(loop.Now(), Request{Op: Read, LBA: int64(i * 16), Sectors: 8}, func(done sim.Time, err error) {
+		q.Submit(loop.Now(), Request{Op: Read, LBA: int64(i * 16), Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 			feed(i + 1)
-		})
+		}))
 	}
 	feed(2)
 	loop.Run()
@@ -177,12 +177,12 @@ func TestQueueBacklogAdmission(t *testing.T) {
 	q, loop := mkQueue(t, SchedElevator, 2)
 	n := 0
 	for i := 0; i < 20; i++ {
-		q.Submit(0, Request{Op: Read, LBA: int64(i) * 1000, Sectors: 8}, func(done sim.Time, err error) {
+		q.Submit(0, Request{Op: Read, LBA: int64(i) * 1000, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
 			n++
-		})
+		}))
 	}
 	// 20 submitted, one dispatched immediately: the high-water mark
 	// counts window + backlog occupancy, excluding the one in flight.
@@ -210,11 +210,11 @@ func TestQueueElevatorBeatsFCFSUnderLoad(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < 128; i++ {
 			q.Submit(0, Request{Op: Read, LBA: rng.Int63n(1 << 28), Sectors: 8},
-				func(done sim.Time, err error) {
+				CompleteFunc(func(done sim.Time, err error) {
 					if done > last {
 						last = done
 					}
-				})
+				}))
 		}
 		loop.Run()
 		return last
@@ -234,12 +234,12 @@ func TestQueueErrorCompletes(t *testing.T) {
 	q, loop := mkQueue(t, SchedFCFS, 8)
 	var gotErr error
 	okDone := false
-	q.Submit(0, Request{Op: Read, LBA: -5, Sectors: 8}, func(done sim.Time, err error) {
+	q.Submit(0, Request{Op: Read, LBA: -5, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 		gotErr = err
-	})
-	q.Submit(0, Request{Op: Read, LBA: 0, Sectors: 8}, func(done sim.Time, err error) {
+	}))
+	q.Submit(0, Request{Op: Read, LBA: 0, Sectors: 8}, CompleteFunc(func(done sim.Time, err error) {
 		okDone = err == nil
-	})
+	}))
 	loop.Run()
 	if !errors.Is(gotErr, ErrOutOfRange) {
 		t.Errorf("bad request completed with %v, want ErrOutOfRange", gotErr)
@@ -296,8 +296,8 @@ func TestQueueErrorsNotCompleted(t *testing.T) {
 	// A dispatches immediately and occupies the device; B (bad range)
 	// and C queue behind it, both accruing queueing delay until A
 	// completes.
-	q.Submit(0, Request{Op: Read, LBA: 0, Sectors: 8}, func(d sim.Time, err error) { doneA = d })
-	q.Submit(0, Request{Op: Read, LBA: 1 << 20, Sectors: 8}, func(d sim.Time, err error) { errB = err })
+	q.Submit(0, Request{Op: Read, LBA: 0, Sectors: 8}, CompleteFunc(func(d sim.Time, err error) { doneA = d }))
+	q.Submit(0, Request{Op: Read, LBA: 1 << 20, Sectors: 8}, CompleteFunc(func(d sim.Time, err error) { errB = err }))
 	q.Submit(0, Request{Op: Read, LBA: 4096, Sectors: 8}, nil)
 	loop.Run()
 
@@ -403,10 +403,10 @@ func TestQueueErrorFromProcContext(t *testing.T) {
 		loop.Go(0, func(p *sim.Proc) {
 			var gotErr error
 			q.Submit(p.Now(), Request{Op: Read, LBA: -1, Sectors: 8},
-				func(done sim.Time, err error) {
+				CompleteFunc(func(done sim.Time, err error) {
 					gotErr = err
 					p.Unpark()
-				})
+				}))
 			p.Park()
 			if !errors.Is(gotErr, ErrOutOfRange) {
 				t.Errorf("woke with %v, want ErrOutOfRange", gotErr)
@@ -431,9 +431,9 @@ func TestQueueDeterminism(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			lba := rng.Int63n(1 << 28)
 			q.Submit(loop.Now(), Request{Op: Read, LBA: lba, Sectors: 8},
-				func(done sim.Time, err error) {
+				CompleteFunc(func(done sim.Time, err error) {
 					trace += fmt.Sprintf("%d@%d ", lba, done)
-				})
+				}))
 		}
 		loop.Run()
 		return trace
@@ -491,12 +491,12 @@ func cfqClosedLoop(t *testing.T, owners int, horizon sim.Time) map[int]int {
 	var submit func(owner int, at sim.Time)
 	submit = func(owner int, at sim.Time) {
 		q.Submit(at, Request{Op: Read, LBA: int64(owner) * 400000, Sectors: 8, Owner: owner},
-			func(done sim.Time, err error) {
+			CompleteFunc(func(done sim.Time, err error) {
 				counts[owner]++
 				if done < horizon {
 					submit(owner, done)
 				}
-			})
+			}))
 	}
 	for o := 1; o <= owners; o++ {
 		submit(o, 0)
@@ -511,7 +511,7 @@ func cfqClosedLoop(t *testing.T, owners int, horizon sim.Time) map[int]int {
 		loop.Schedule(at, func() {
 			for i := 0; i < 48; i++ {
 				q.Submit(at, Request{Op: Write, LBA: int64(i) * 1000, Sectors: 8, Owner: OwnerDaemon},
-					func(done sim.Time, err error) { counts[OwnerDaemon]++ })
+					CompleteFunc(func(done sim.Time, err error) { counts[OwnerDaemon]++ }))
 			}
 			burst(at + 300*sim.Millisecond)
 		})

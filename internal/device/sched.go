@@ -6,9 +6,33 @@ import (
 	"repro/internal/sim"
 )
 
+// A Completer receives a request's completion: Complete runs once, in
+// the submitting loop's context, at the request's completion time, with
+// the device's error (nil on success). It is the block layer's only
+// completion path. Hot-path callers pass a long-lived or pooled object
+// — the request's own state, a parked process's waiter — so that
+// completing a request allocates nothing; CompleteFunc adapts a plain
+// function for tests and cold paths.
+type Completer interface {
+	Complete(at sim.Time, err error)
+}
+
+// CompleteFunc adapts an ordinary function to Completer, in the manner
+// of http.HandlerFunc. Each conversion of a closure boxes it, so keep
+// it off paths that run per request.
+type CompleteFunc func(at sim.Time, err error)
+
+// Complete implements Completer by calling f.
+func (f CompleteFunc) Complete(at sim.Time, err error) { f(at, err) }
+
 // An IORequest is a request resident in a device queue: the transfer
-// plus its arrival time, completion callback, and admission sequence
-// number. Schedulers order IORequests; the Queue owns their lifecycle.
+// plus its arrival time, completer, and admission sequence number.
+// Schedulers order IORequests; the Queue owns their lifecycle. It
+// takes each from a free list at submission and returns it there in
+// finish, after reading out the completer and before calling it, so a
+// Completer that submits again reuses the request just freed. Nothing
+// may keep a pointer to an IORequest once its Complete has begun: a
+// scheduler drops it at Pop, and the Queue recycles it at finish.
 type IORequest struct {
 	Req Request
 	// At is the virtual time the request entered the queue.
@@ -16,8 +40,8 @@ type IORequest struct {
 	// Seq is the queue-assigned admission number; schedulers use it as
 	// the deterministic tie-breaker and FCFS uses it outright.
 	Seq uint64
-	// Done, when non-nil, is invoked at the request's completion time.
-	Done func(done sim.Time, err error)
+	// Done, when non-nil, receives the completion.
+	Done Completer
 
 	// queue is the owning Queue, set at submission. It lets the
 	// request itself be the scheduled completion event (sim.EventTarget)

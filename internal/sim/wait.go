@@ -39,7 +39,12 @@ func (q *fifo[T]) pop() T {
 // WaitList is a FIFO of parked processes. Wakes run in park order, and
 // each woken process holds the baton until it parks again, so a wait
 // list adds no nondeterminism. The zero value is empty and ready.
-type WaitList struct{ q fifo[*Proc] }
+type WaitList struct {
+	q fifo[*Proc]
+	// spare is the array the last WakeAll drained, cleared, ready to
+	// become the list's next array instead of growing a new one.
+	spare []*Proc
+}
 
 // Park appends p to the list and parks it until a wake reaches it. It
 // returns the virtual time at which p was woken.
@@ -58,13 +63,19 @@ func (w *WaitList) WakeOne() {
 
 // WakeAll unparks, in park order, every process parked now. A woken
 // process that parks on the list again joins a fresh list and waits
-// for the next wake.
+// for the next wake. The fresh list starts on the spare array; a
+// nested WakeAll on the same list, called by a woken process, finds
+// no spare and starts from none, so it never touches the array this
+// call is still walking.
 func (w *WaitList) WakeAll() {
-	ps := w.q.items[w.q.head:]
-	w.q = fifo[*Proc]{}
-	for _, p := range ps {
+	items, head := w.q.items, w.q.head
+	w.q = fifo[*Proc]{items: w.spare}
+	w.spare = nil
+	for _, p := range items[head:] {
 		p.Unpark()
 	}
+	clear(items)
+	w.spare = items[:0]
 }
 
 // Backlog is an open-loop arrival queue: one producer process pushes

@@ -276,7 +276,7 @@ func (m *Mount) prefetch(at sim.Time, ino fs.Ino, start, n int64) {
 		// on failure the demand read retries and surfaces the error.
 		err = m.submitAsync(at, device.Request{
 			Op: device.Read, LBA: blockLBA(exts[0].DiskBlock), Sectors: sectorsPerBlock,
-		}, func(error) { m.PC.Invalidate(id) })
+		}, &id)
 		if err != nil {
 			continue
 		}

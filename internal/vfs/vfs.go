@@ -137,9 +137,14 @@ type Mount struct {
 	// engine's cross-shard mailbox to the device shard) under
 	// BeginEventsBridged. sub == nil means immediate mode.
 	sub Submitter
-	// asyncPool recycles deferred-submission events (submitAsync) so
-	// the fire-and-forget hot path allocates no closures.
-	asyncPool []*asyncReq
+	// The pools recycle the objects event-mode submissions schedule and
+	// complete through, so the steady-state I/O paths allocate nothing:
+	// deferred arrivals (submitAsync), daemon write-back completions
+	// (flushBatch), and parked submitters' waiters (submitSync,
+	// submitBatchSync).
+	asyncs  sim.FreeList[asyncReq]
+	wbDones sim.FreeList[wbDone]
+	waiters sim.FreeList[ioWaiter]
 	// cur is the process currently holding the baton. Every yield
 	// point restores it (together with curOwner) on resume, so nested
 	// blocking submissions inside one VFS call chain stay bound to
@@ -223,10 +228,10 @@ func (m *Mount) DropCaches() {
 // Submitter is where event-mode submissions go. *device.Queue
 // implements it; the sharded engine implements it with a cross-shard
 // bridge so a mount on a thread shard can submit to a queue owned by
-// the device shard. done, when non-nil, must be invoked in the
+// the device shard. done, when non-nil, must be completed in the
 // submitting loop's context at the request's completion time.
 type Submitter interface {
-	Submit(at sim.Time, req device.Request, done func(sim.Time, error))
+	Submit(at sim.Time, req device.Request, done device.Completer)
 }
 
 // BeginEvents switches the mount into event mode on loop: a
@@ -356,7 +361,7 @@ func (m *Mount) flusherRound(now sim.Time) {
 // flushBatch collects one batch of dirty pages (oldest dirtied
 // first), moves them to the write-back state, and submits their
 // writes under the daemon's identity. Pages become clean only when
-// each write's completion event fires (endWriteback) — until then
+// each write's completion event fires (wbDone.Complete) — until then
 // they count against the dirty high-water mark, so throttling and
 // SyncAll see true in-flight state. It returns the number of writes
 // issued.
@@ -374,9 +379,11 @@ func (m *Mount) flushBatch(at sim.Time) int {
 		if !ok {
 			continue // re-dirtied while a previous flush is still in flight
 		}
+		w := m.wbDones.Get()
+		*w = wbDone{m: m, id: id, gen: gen}
 		m.sub.Submit(at, device.Request{
 			Op: device.Write, LBA: lba, Sectors: sectorsPerBlock, Owner: device.OwnerDaemon,
-		}, func(_ sim.Time, _ error) { m.endWriteback(id, gen) })
+		}, w)
 		issued++
 	}
 	if issued > 0 {
@@ -386,11 +393,21 @@ func (m *Mount) flushBatch(at sim.Time) int {
 	return issued
 }
 
-// endWriteback runs in loop context at a flusher write's completion:
-// the page leaves the write-back state (staying dirty only if
-// re-dirtied mid-flight) and parked processes re-check their
-// conditions.
-func (m *Mount) endWriteback(id cache.PageID, gen uint64) {
+// wbDone is a pooled completion for one daemon write-back page.
+type wbDone struct {
+	m   *Mount
+	id  cache.PageID
+	gen uint64
+}
+
+// Complete implements device.Completer, in loop context at the
+// flusher write's completion: the page leaves the write-back state
+// (staying dirty only if re-dirtied mid-flight) and parked processes
+// re-check their conditions. The write's error, if any, is already on
+// the queue's error counter; the page is retired either way.
+func (w *wbDone) Complete(sim.Time, error) {
+	m, id, gen := w.m, w.id, w.gen
+	m.wbDones.Put(w)
 	m.PC.L1.EndWriteback(id, gen)
 	m.dirtyWait.WakeAll()
 }
@@ -480,73 +497,111 @@ func (m *Mount) submitSync(at sim.Time, req device.Request) (sim.Time, error) {
 	p, owner := m.cur, m.curOwner
 	p.WaitUntil(at)
 	m.cur, m.curOwner = p, owner // restore after a potential yield
-	var done sim.Time
-	var rerr error
-	m.sub.Submit(p.Now(), req, func(t sim.Time, err error) {
-		done, rerr = t, err
-		p.Unpark()
-	})
+	w := m.waiters.Get()
+	*w = ioWaiter{p: p, pending: 1}
+	m.sub.Submit(p.Now(), req, w)
+	return m.awaitIO(w, owner)
+}
+
+// ioWaiter is a pooled completion that parks a process until pending
+// completions have arrived — one for submitSync, one per request of a
+// submitBatchSync call — keeping the latest completion time and the
+// first error.
+type ioWaiter struct {
+	p       *sim.Proc
+	pending int
+	last    sim.Time
+	err     error
+}
+
+// Complete implements device.Completer; the last completion unparks
+// the waiting process.
+func (w *ioWaiter) Complete(at sim.Time, err error) {
+	w.pending--
+	if at > w.last {
+		w.last = at
+	}
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+	if w.pending == 0 {
+		w.p.Unpark()
+	}
+}
+
+// awaitIO parks w's process until its completions have arrived,
+// rebinds the mount to it, and recycles w.
+func (m *Mount) awaitIO(w *ioWaiter, owner int) (sim.Time, error) {
+	p := w.p
 	p.Park()
 	m.cur, m.curOwner = p, owner
-	return done, rerr
+	last, err := w.last, w.err
+	m.waiters.Put(w)
+	return last, err
 }
 
 // submitAsync issues one fire-and-forget request: the device does the
 // work but nobody waits. In event mode the arrival is scheduled at
 // `at` so queue arrivals stay globally time-ordered even when the
-// issuing process has run ahead of the loop clock; onErr, when
-// non-nil, runs in loop context if the request eventually fails.
+// issuing process has run ahead of the loop clock. drop, when
+// non-nil, names a page to invalidate if the request fails: a
+// prefetched page whose read never arrived.
 //
 // The returned error is only meaningful in immediate mode, where the
 // submission is synchronous underneath; in event mode it is always
-// nil and failures reach onErr (or just the queue's error counter).
-func (m *Mount) submitAsync(at sim.Time, req device.Request, onErr func(error)) error {
+// nil and failures reach drop (or just the queue's error counter).
+func (m *Mount) submitAsync(at sim.Time, req device.Request, drop *cache.PageID) error {
 	m.stampOwner(&req)
 	if m.sub == nil {
 		_, err := m.Dev.Submit(at, req)
-		if err != nil && onErr != nil {
-			onErr(err)
+		if err != nil && drop != nil {
+			m.PC.Invalidate(*drop)
 		}
 		return err
 	}
-	var a *asyncReq
-	if n := len(m.asyncPool); n > 0 {
-		a = m.asyncPool[n-1]
-		m.asyncPool = m.asyncPool[:n-1]
-	} else {
-		a = new(asyncReq)
+	a := m.asyncs.Get()
+	*a = asyncReq{m: m, at: at, req: req}
+	if drop != nil {
+		a.drop, a.dropOnErr = *drop, true
 	}
-	*a = asyncReq{m: m, at: at, req: req, onErr: onErr}
 	m.loop.ScheduleTarget(at, a)
 	return nil
 }
 
 // asyncReq is a pooled deferred submission: submitAsync schedules it
-// as the arrival event (instead of a closure) so journal pushes,
-// eviction write-back, and prefetch issue zero allocations per
-// request on the common no-error-handler path.
+// as the arrival event, and a request with a page to drop on failure
+// is also its own completion, so journal pushes, eviction write-back
+// and prefetch allocate nothing per request.
 type asyncReq struct {
-	m     *Mount
-	at    sim.Time
-	req   device.Request
-	onErr func(error)
+	m         *Mount
+	at        sim.Time
+	req       device.Request
+	drop      cache.PageID
+	dropOnErr bool
 }
 
 // RunEvent implements sim.EventTarget: the arrival instant came due,
-// submit for real and recycle.
+// submit for real. A request nobody completes recycles now; one with
+// a page to drop stays alive until its completion.
 func (a *asyncReq) RunEvent() {
-	m, at, req, onErr := a.m, a.at, a.req, a.onErr
-	*a = asyncReq{}
-	m.asyncPool = append(m.asyncPool, a)
-	var done func(sim.Time, error)
-	if onErr != nil {
-		done = func(_ sim.Time, err error) {
-			if err != nil {
-				onErr(err)
-			}
-		}
+	m := a.m
+	if a.dropOnErr {
+		m.sub.Submit(a.at, a.req, a)
+		return
 	}
-	m.sub.Submit(at, req, done)
+	at, req := a.at, a.req
+	m.asyncs.Put(a)
+	m.sub.Submit(at, req, nil)
+}
+
+// Complete implements device.Completer for a request with a page to
+// drop: a failed read leaves that page non-resident.
+func (a *asyncReq) Complete(_ sim.Time, err error) {
+	m, id := a.m, a.drop
+	m.asyncs.Put(a)
+	if err != nil {
+		m.PC.Invalidate(id)
+	}
 }
 
 // submitBatchSync issues a set of requests and blocks until all of
@@ -567,26 +622,12 @@ func (m *Mount) submitBatchSync(at sim.Time, reqs []device.Request) (sim.Time, e
 	p, owner := m.cur, m.curOwner
 	p.WaitUntil(at)
 	m.cur, m.curOwner = p, owner
-	remaining := len(reqs)
-	var last sim.Time
-	var firstErr error
+	w := m.waiters.Get()
+	*w = ioWaiter{p: p, pending: len(reqs)}
 	for _, r := range reqs {
-		m.sub.Submit(p.Now(), r, func(t sim.Time, err error) {
-			remaining--
-			if t > last {
-				last = t
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if remaining == 0 {
-				p.Unpark()
-			}
-		})
+		m.sub.Submit(p.Now(), r, w)
 	}
-	p.Park()
-	m.cur, m.curOwner = p, owner
-	return last, firstErr
+	return m.awaitIO(w, owner)
 }
 
 // blockLBA converts a file-system block number to a device LBA.
@@ -665,8 +706,7 @@ func (m *Mount) prefetchSteps(at sim.Time, steps []fs.IOStep) error {
 			if m.PC.Lookup(id) != cache.Miss {
 				continue
 			}
-			err := m.submitAsync(at, device.Request{Op: device.Read, LBA: blockLBA(s.Block), Sectors: sectorsPerBlock},
-				func(error) { m.PC.Invalidate(id) })
+			err := m.submitAsync(at, device.Request{Op: device.Read, LBA: blockLBA(s.Block), Sectors: sectorsPerBlock}, &id)
 			if err != nil {
 				return err
 			}

@@ -371,7 +371,7 @@ func newDeviceBridge(sl *sim.ShardedLoop, src, dst int, q *device.Queue) *device
 }
 
 // Submit implements vfs.Submitter.
-func (b *deviceBridge) Submit(at sim.Time, req device.Request, done func(sim.Time, error)) {
+func (b *deviceBridge) Submit(at sim.Time, req device.Request, done device.Completer) {
 	b.sl.Send(b.src, b.dst, at, func() {
 		// Runs on the device shard at the (clamped) arrival time;
 		// SubmitRemote re-clamps at up to the loop clock.
